@@ -4,8 +4,12 @@ Approximates homogenized coefficient tensors and correctors of heterogeneous
 elliptic operators through zero-order regularization, Richardson
 extrapolation in the regularization parameter, and filtered spatial
 averaging, and couples the resulting local tensors to a coarse multiscale
-solver.  See README.md for an overview and the demos/ directory for
-narrative walkthroughs of each capability.
+solver.  The modules, bottom up: `coeffs` (coefficient catalog), `grid` (Q1
+operator and the multigrid-preconditioned Krylov solver), `corrector`
+(dyadic ladders and extrapolation), `averaging` (filters and tensors),
+`reference` (cell problems and laminate oracles), `lattice` (the discrete
+network), `hmm` (coarse solver), `study` and `cli` (sweeps and the command
+line).
 """
 
 from .averaging import (
@@ -26,9 +30,19 @@ from .corrector import (
     psi_identity_check,
     residual_identity_check,
     richardson_combine,
+    solve_ladder,
     solve_regularized,
 )
-from .grid import DofVector, SolverError, SparseSystem, StructuredGrid, assemble, gradient_field, solve
+from .grid import (
+    CorrectorOperator,
+    DofVector,
+    SolverError,
+    SparseSystem,
+    StructuredGrid,
+    assemble,
+    gradient_field,
+    solve,
+)
 from .hmm import CoarseMesh, coarse_solve, hmm_solve, numerical_corrector, scaled_field
 from .lattice import (
     PUBLISHED_CELL_VALUE,

@@ -26,13 +26,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from .coeffs import CoefficientField
-from .corrector import (
-    CorrectorSolution,
-    corrector_ladder,
-    extrapolate_prefix,
-    solve_regularized,
-)
-from .grid import StructuredGrid
+from .corrector import extrapolate_prefix, solve_ladder
+from .grid import CorrectorOperator, StructuredGrid
 
 __all__ = [
     "Filter",
@@ -119,7 +114,6 @@ class Filter:
 
     order: float
     kappa: float
-    support_half_width: float = 1.0
     _shape: Optional[callable] = dc_field(default=None, repr=False)
 
     def profile(self, x: np.ndarray) -> np.ndarray:
@@ -138,6 +132,17 @@ class Filter:
         w = self.profile((pts[:, 0] - center[0]) / L) * self.profile((pts[:, 1] - center[1]) / L)
         return w / L**2
 
+    def grid_weights(self, grid: StructuredGrid, L: float, center) -> np.ndarray:
+        """`weights_nd` at the grid's Gauss points, bitwise equal.
+
+        The profile is evaluated once per axis abscissa and the weights are
+        their outer product, with the same arithmetic as `weights_nd`.
+        """
+        xs, ys = grid.quad_axes()
+        wx = self.profile((xs - center[0]) / L)  # (nx, x side)
+        wy = self.profile((ys - center[1]) / L)  # (ny, y side)
+        return (wx[:, None, None, :] * wy[None, :, :, None] / L**2).ravel()
+
 
 def build_filter(p) -> Filter:
     """Construct the filter of order p in {0, 1, 2, 3, 4, inf}.
@@ -148,7 +153,7 @@ def build_filter(p) -> Filter:
     if isinstance(p, str):
         p = math.inf if p in ("inf", "infinity", "oo") else int(p)
     if p == 0:
-        return Filter(order=0, kappa=1.0, support_half_width=1.0)
+        return Filter(order=0, kappa=1.0)
     if p not in _SHAPES:
         raise ValueError(f"unsupported filter order {p!r}; choose 0..4 or inf")
     shape = _SHAPES[p]
@@ -180,8 +185,7 @@ def filtered_average(
     half_x = 0.5 * grid.nx * grid.hx
     if L > half_x + 1e-12 or L > 0.5 * grid.ny * grid.hy + 1e-12:
         raise ValueError(f"averaging window L={L} exceeds the grid half-width")
-    pts = grid.quad_points()
-    w = filt.weights_nd(pts, L, center) * grid.quad_weight()
+    w = filt.grid_weights(grid, L, center) * grid.quad_weight()
     mass = float(w.sum())
     if mass <= 0.0:
         raise ValueError("filter mass vanishes on the grid (window too small?)")
@@ -192,8 +196,7 @@ def filter_quadrature_mass(grid: StructuredGrid, filt: Filter, L: float, center=
     """Quadrature mass of mu_L on the grid (1 up to quadrature error)."""
     if center is None:
         center = grid.center
-    pts = grid.quad_points()
-    w = filt.weights_nd(pts, L, center) * grid.quad_weight()
+    w = filt.grid_weights(grid, L, center) * grid.quad_weight()
     return float(w.sum())
 
 
@@ -226,10 +229,11 @@ class CorrectorBundle:
     primal: list  # CorrectorSolution for xi = e1, e2
     dual: list
     ladders: dict  # (direction index, dual flag) -> base ladder
+    A_q: np.ndarray  # the field at the grid's Gauss points, from the solves' operator
 
     def gradients_at_quad(self):
         gp = [s.gradient_at_quad() for s in self.primal]
-        gd = [s.gradient_at_quad() for s in self.dual]
+        gd = gp if self.dual is self.primal else [s.gradient_at_quad() for s in self.dual]
         return gp, gd
 
 
@@ -249,33 +253,24 @@ def solve_corrector_bundle(
     """
     if math.isinf(T) and k != 1:
         raise ValueError("T = inf requires k = 1")
-    km = k if kmax is None else kmax
-    ladders = {}
-    primal, dual = [], []
-    for d in range(2):
-        xi = np.eye(2)[d]
-        if math.isinf(T):
-            base = [solve_regularized(grid, field, T, xi, dual=False, rel_tol=rel_tol)]
-        else:
-            base = corrector_ladder(grid, field, T, km, xi, dual=False, rel_tol=rel_tol)
-        ladders[(d, False)] = base
-        primal.append(base[0] if math.isinf(T) else extrapolate_prefix(base, k))
-        if field.is_symmetric:
-            ladders[(d, True)] = base
-            dual.append(primal[-1])
-        else:
-            if math.isinf(T):
-                based = [solve_regularized(grid, field, T, xi, dual=True, rel_tol=rel_tol)]
-            else:
-                based = corrector_ladder(grid, field, T, km, xi, dual=True, rel_tol=rel_tol)
-            ladders[(d, True)] = based
-            dual.append(based[0] if math.isinf(T) else extrapolate_prefix(based, k))
-    return CorrectorBundle(grid=grid, field=field, T=T, k=k, primal=primal, dual=dual, ladders=ladders)
+    km = 1 if math.isinf(T) else (k if kmax is None else kmax)
+    op = CorrectorOperator.from_field(grid, field)
+    primal = solve_ladder(op, T, km, np.eye(2), rel_tol=rel_tol)
+    if field.is_symmetric:
+        dual = primal
+    else:
+        dual = solve_ladder(op.transpose(), T, km, np.eye(2), dual=True, rel_tol=rel_tol)
+    ladders = {(d, flag): lads[d] for d in range(2) for flag, lads in ((False, primal), (True, dual))}
+    primal_k = [extrapolate_prefix(lad, k) for lad in primal]
+    dual_k = primal_k if dual is primal else [extrapolate_prefix(lad, k) for lad in dual]
+    return CorrectorBundle(
+        grid=grid, field=field, T=T, k=k, primal=primal_k, dual=dual_k, ladders=ladders, A_q=op.A_q
+    )
 
 
 def _tensor_from_gradients(
     grid: StructuredGrid,
-    field: CoefficientField,
+    A_q: np.ndarray,
     grads_primal,
     grads_dual,
     filt: Filter,
@@ -283,15 +278,15 @@ def _tensor_from_gradients(
     project: bool,
     center=None,
 ):
-    pts = grid.quad_points()
+    """Windowed tensor from gradients and A at the grid's Gauss points."""
     if center is None:
         center = grid.center
-    w = filt.weights_nd(pts, L, center) * grid.quad_weight()
+    w = filt.grid_weights(grid, L, center) * grid.quad_weight()
     mass = float(w.sum())
     if mass <= 0.0:
         raise ValueError("filter mass vanishes on the grid")
     wn = w / mass
-    A_q = field(pts)
+    A_q = A_q.reshape(-1, 2, 2)
 
     means = {"primal": [], "dual": []}
     gp, gd = [], []
@@ -322,7 +317,7 @@ def _hom_tensor(field, R, n, T, k, L, filt, rel_tol, project, bundle=None):
         bundle = solve_corrector_bundle(field, grid, T, k, rel_tol=rel_tol)
     gp, gd = bundle.gradients_at_quad()
     mat, min_eig, means, mass = _tensor_from_gradients(
-        bundle.grid, field, gp, gd, filt, L, project
+        bundle.grid, bundle.A_q, gp, gd, filt, L, project
     )
     params = dict(
         field=field.name,

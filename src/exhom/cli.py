@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Subcommands mirror the library surface: `corrector`, `homogenize`,
-`reference`, `lattice`, `hmm`, and `study`.  The library API (see README and
-demos/) is the primary interface; the CLI wraps it for quick runs and CSV
-emission.
+`reference`, `lattice`, `hmm`, and `study`.  The library API is the primary
+interface; the CLI wraps it for quick runs and CSV emission.
 """
 
 from __future__ import annotations
@@ -34,9 +33,25 @@ def _parse_T(value, R, default_div):
 
 
 def _parse_xi(s):
-    parts = [float(t) for t in s.split(",")]
-    v = np.array(parts)
-    return v / np.linalg.norm(v)
+    """The unit vector along 'x1,x2'; zero and non-finite vectors are rejected."""
+    try:
+        v = np.array([float(t) for t in s.split(",")])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected two comma-separated numbers, got {s!r}") from None
+    norm = math.hypot(*v)
+    if v.shape != (2,) or not math.isfinite(norm) or norm == 0.0:
+        raise argparse.ArgumentTypeError(f"need a finite nonzero direction 'x1,x2', got {s!r}")
+    return v / norm
+
+
+def _parse_hmm_T(s):
+    """None for 'auto', else the number (possibly inf)."""
+    if s == "auto":
+        return None
+    try:
+        return float(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'auto', 'inf' or a number, got {s!r}") from None
 
 
 def cmd_corrector(args):
@@ -46,9 +61,9 @@ def cmd_corrector(args):
     from .corrector import corrector_ladder, extrapolate_prefix
 
     if math.isinf(T):
-        sol = solve_regularized(grid, field, T, _parse_xi(args.xi), dual=args.dual)
+        sol = solve_regularized(grid, field, T, args.xi, dual=args.dual)
     else:
-        ladder = corrector_ladder(grid, field, T, args.k, _parse_xi(args.xi), dual=args.dual)
+        ladder = corrector_ladder(grid, field, T, args.k, args.xi, dual=args.dual)
         sol = extrapolate_prefix(ladder, args.k)
     g = sol.gradient_at_quad()
     print(f"corrector: field={args.field} R={args.R} n={args.n} T={T:g} k={args.k}")
@@ -115,9 +130,8 @@ def cmd_hmm(args):
     f_src = (lambda p: np.ones(p.shape[0])) if args.f == "const" else (
         lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
     )
-    T = None if args.T == "auto" else float(args.T)
     h = None if args.h == "auto" else float(args.h)
-    res = hmm_solve(field, args.eps, args.H, f_src, delta=args.delta, T=T, k=args.k, h=h)
+    res = hmm_solve(field, args.eps, args.H, f_src, delta=args.delta, T=args.T, k=args.k, h=h)
     print(f"HMM: eps={args.eps} H={args.H} T={res.params['T']:g} k={args.k} "
           f"delta={args.delta} h={res.params['h']:g}")
     prov = res.tensor_map.provenance
@@ -242,7 +256,7 @@ def main(argv=None):
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--T", default="auto", help="'auto' (= R/100), 'inf', or a number")
     c.add_argument("--k", type=int, default=1)
-    c.add_argument("--xi", default="1,0")
+    c.add_argument("--xi", type=_parse_xi, default="1,0", help="direction 'x1,x2' (normalized)")
     c.add_argument("--dual", action="store_true")
     c.add_argument("--window", type=float, default=None, help="inner window fraction for the error")
     c.add_argument("--csv", default=None)
@@ -278,7 +292,7 @@ def main(argv=None):
     hm.add_argument("--eps", type=float, default=1 / 16)
     hm.add_argument("--H", type=float, default=0.25)
     hm.add_argument("--delta", type=float, default=1.5)
-    hm.add_argument("--T", default="auto")
+    hm.add_argument("--T", type=_parse_hmm_T, default="auto", help="'auto' (= H/eps), 'inf', or a number")
     hm.add_argument("--k", type=int, default=1)
     hm.add_argument("--kprime", type=int, default=None)
     hm.add_argument("--h", default="auto")
@@ -297,6 +311,8 @@ def main(argv=None):
     st.set_defaults(func=cmd_study)
 
     args = ap.parse_args(argv)
+    if args.func is cmd_hmm and args.T is not None and math.isinf(args.T) and (args.k, args.kprime or 1) != (1, 1):
+        hm.error("--T inf admits no extrapolation: --k and --kprime must be 1")
     return args.func(args) or 0
 
 

@@ -9,10 +9,18 @@ and the extrapolated families are built by the dyadic induction
     phi_{T,1} = phi_T,    phi_{T,k+1} = (2^k phi_{2T,k} - phi_{T,k}) / (2^k - 1),
 
 which cancels successive powers of T^{-1} in the systematic error.  Dual
-correctors use the pointwise transpose field.  Two independent consistency
-checks are provided: the discrete operator identity satisfied by the
-extrapolated iterates, and the scalar resolvent identity for the rational
-functions generated by the same induction.
+correctors use the pointwise transpose field.
+
+Every rung of a ladder shares one `CorrectorOperator` (grid.py): the field
+is evaluated and the stiffness assembled once, and rung j solves
+(K + M / (2^j T)) x = b_xi with the multigrid-preconditioned Krylov solver.
+`solve_ladder` runs the rungs in order and, within a rung, every requested
+direction on that shift's hierarchy, warm-starting each direction from its
+previous rung.
+
+Two independent consistency checks are provided: the discrete operator
+identity satisfied by the extrapolated iterates, and the scalar resolvent
+identity for the rational functions generated by the same induction.
 """
 
 from __future__ import annotations
@@ -26,17 +34,17 @@ import numpy as np
 
 from .coeffs import CoefficientField
 from .grid import (
+    CorrectorOperator,
     DofVector,
     StructuredGrid,
-    assemble,
     gradient_field,
     interpolate_gradient,
-    mass_matrix,
     solve,
 )
 
 __all__ = [
     "CorrectorSolution",
+    "solve_ladder",
     "solve_regularized",
     "corrector_ladder",
     "extrapolate",
@@ -57,7 +65,6 @@ class CorrectorSolution:
     k: int
     xi: np.ndarray
     dual: bool = False
-    bc: str = "dirichlet0"
 
     def __post_init__(self):
         if math.isinf(self.T) and self.k != 1:
@@ -70,6 +77,41 @@ class CorrectorSolution:
         return gradient_field(self.u)
 
 
+def solve_ladder(
+    op: CorrectorOperator,
+    T: float,
+    kmax: int,
+    xis,
+    dual: bool = False,
+    rel_tol: float = 1e-10,
+) -> list[list[CorrectorSolution]]:
+    """Base solves at T, 2T, ..., 2^{kmax-1} T on one operator, per direction.
+
+    Returns one ladder (list of k = 1 solutions) for each xi in `xis`.  The
+    rungs run in order; the directions of a rung share its hierarchy, and
+    each warm-starts from its own previous rung.  T = inf (with kmax = 1)
+    is the unregularized problem.  `dual` marks the solutions as dual
+    correctors (the caller passes the transpose operator).
+    """
+    if math.isinf(T) and kmax != 1:
+        raise ValueError("T = inf admits no extrapolation (k must be 1)")
+    xis = [np.asarray(xi, dtype=float) for xi in xis]
+    ladders = [[] for _ in xis]
+    for j in range(kmax):
+        _solve_rung(op, T * 2.0**j, xis, ladders, dual, rel_tol)
+    return ladders
+
+
+def _solve_rung(op, T, xis, ladders, dual, rel_tol):
+    # a function of its own, so that this shift's hierarchy is freed before
+    # the next one is built
+    systems = op.systems(0.0 if math.isinf(T) else 1.0 / T, [op.rhs(xi) for xi in xis])
+    for xi, system, ladder in zip(xis, systems, ladders):
+        x0 = ladder[-1].u.values if ladder else None
+        u = solve(system, rel_tol=rel_tol, x0=x0)
+        ladder.append(CorrectorSolution(grid=op.grid, u=u, T=T, k=1, xi=xi, dual=dual))
+
+
 def solve_regularized(
     grid: StructuredGrid,
     field: CoefficientField,
@@ -77,19 +119,13 @@ def solve_regularized(
     xi,
     dual: bool = False,
     rel_tol: float = 1e-10,
-    x0: Optional[np.ndarray] = None,
 ) -> CorrectorSolution:
     """Solve the zero-order-regularized corrector problem on the grid's box.
 
     T = inf gives the naive (unregularized) Dirichlet approximation.  Dual
     solves use the transpose field.
     """
-    xi = np.asarray(xi, dtype=float)
-    eff = field.transpose() if dual else field
-    inv_T = 0.0 if math.isinf(T) else 1.0 / T
-    system = assemble(grid, eff, inv_T, xi=xi, bc="dirichlet0")
-    u = solve(system, rel_tol=rel_tol, x0=x0)
-    return CorrectorSolution(grid=grid, u=u, T=T, k=1, xi=xi, dual=dual)
+    return corrector_ladder(grid, field, T, 1, xi, dual=dual, rel_tol=rel_tol)[0]
 
 
 def corrector_ladder(
@@ -102,13 +138,8 @@ def corrector_ladder(
     rel_tol: float = 1e-10,
 ) -> list[CorrectorSolution]:
     """Base solves at T, 2T, ..., 2^{kmax-1} T (warm-started up the ladder)."""
-    out = []
-    x0 = None
-    for j in range(kmax):
-        sol = solve_regularized(grid, field, T * 2.0**j, xi, dual=dual, rel_tol=rel_tol, x0=x0)
-        out.append(sol)
-        x0 = sol.u.values.copy()
-    return out
+    op = CorrectorOperator.from_field(grid, field.transpose() if dual else field)
+    return solve_ladder(op, T, kmax, [xi], dual=dual, rel_tol=rel_tol)[0]
 
 
 def richardson_weights(k: int):
@@ -204,15 +235,15 @@ def residual_identity_check(
     if not np.allclose(phi_Tk1.xi, phi_2Tk.xi) or phi_Tk1.dual != phi_2Tk.dual:
         raise ValueError("arguments mix directions or duality")
     eff = field.transpose() if phi_Tk1.dual else field
-    system = assemble(phi_Tk1.grid, eff, 1.0 / T, xi=phi_Tk1.xi, bc="dirichlet0")
-    bnorm = float(np.linalg.norm(system.rhs))
+    op = CorrectorOperator.from_field(phi_Tk1.grid, eff)
+    b = op.rhs(phi_Tk1.xi)
+    bnorm = float(np.linalg.norm(b))
     # homogeneous right-hand sides (constant fields) assemble to pure
     # roundoff; treat them as zero so the 0/0 case returns 0 by convention
-    bfloor = 1e-12 * field.beta_hint * phi_Tk1.grid.hx * math.sqrt(system.rhs.size)
+    bfloor = 1e-12 * field.beta_hint * phi_Tk1.grid.hx * math.sqrt(b.size)
     if bnorm <= bfloor:
         return 0.0
-    M = mass_matrix(phi_Tk1.grid, bc="dirichlet0")
-    res = system.matrix @ phi_Tk1.u.values - system.rhs - (M @ phi_2Tk.u.values) / T
+    res = op.matrix(1.0 / T) @ phi_Tk1.u.values - b - (op.M @ phi_2Tk.u.values) / T
     return float(np.linalg.norm(res)) / bnorm
 
 

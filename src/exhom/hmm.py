@@ -26,10 +26,10 @@ import scipy.sparse as sp
 
 from .averaging import Filter, _tensor_from_gradients, build_filter
 from .coeffs import CoefficientField
-from .corrector import richardson_combine
+from .corrector import extrapolate, solve_ladder
 from .grid import (
+    CorrectorOperator,
     DofVector,
-    SolverError,
     SparseSystem,
     StructuredGrid,
     assemble,
@@ -225,29 +225,9 @@ def _patch_grid(center, half_width: float, extent, h: float) -> StructuredGrid:
     return StructuredGrid.from_box((x0, x1, y0, y1), nx, ny)
 
 
-def _patch_correctors(
-    grid: StructuredGrid,
-    field_eps: CoefficientField,
-    inv_T0: float,
-    k: int,
-    rel_tol: float,
-    dual: bool = False,
-):
-    """Extrapolated patch correctors for xi = e1, e2 (gradient samples)."""
-    eff = field_eps.transpose() if dual else field_eps
-    grads = []
-    for d in range(2):
-        xi = np.eye(2)[d]
-        base = []
-        x0 = None
-        for j in range(k):
-            system = assemble(grid, eff, inv_T0 / 2.0**j, xi=xi, bc="dirichlet0")
-            u = solve(system, rel_tol=rel_tol, x0=x0)
-            base.append(u.values)
-            x0 = base[-1].copy()
-        vals = richardson_combine(base) if k > 1 else base[0]
-        grads.append(gradient_field(DofVector(vals, grid, "dirichlet0")))
-    return grads
+def _patch_correctors(op: CorrectorOperator, T: float, k: int, rel_tol: float, dual: bool = False):
+    """Level-k extrapolated patch correctors for xi = e1, e2 on one operator."""
+    return [extrapolate(lad).u for lad in solve_ladder(op, T, k, np.eye(2), dual=dual, rel_tol=rel_tol)]
 
 
 def local_tensor(
@@ -269,11 +249,15 @@ def local_tensor(
     H/2 centered at the element centroid, clipped-mass normalized.
     """
     grid = _patch_grid(centroid, 0.5 * delta * H, extent, h)
-    inv_T0 = 1.0 / (T * eps * eps)
-    gp = _patch_correctors(grid, field_eps, inv_T0, k, rel_tol)
-    gd = gp if field_eps.is_symmetric else _patch_correctors(grid, field_eps, inv_T0, k, rel_tol, dual=True)
+    op = CorrectorOperator.from_field(grid, field_eps)
+    T_patch = T * eps * eps
+    gp = [gradient_field(u) for u in _patch_correctors(op, T_patch, k, rel_tol)]
+    if field_eps.is_symmetric:
+        gd = gp
+    else:
+        gd = [gradient_field(u) for u in _patch_correctors(op.transpose(), T_patch, k, rel_tol, dual=True)]
     mat, _, _, _ = _tensor_from_gradients(
-        grid, field_eps, gp, gd, filt, 0.5 * H, project=True, center=tuple(centroid)
+        grid, op.A_q, gp, gd, filt, 0.5 * H, project=True, center=tuple(centroid)
     )
     return mat
 
@@ -373,11 +357,7 @@ def coarse_solve(
     free = np.where(~mesh.boundary_vertices)[0]
     Kf = K[free][:, free].tocsr()
     symmetric = bool(np.allclose(A, np.swapaxes(A, -1, -2), atol=1e-12))
-    sysm = SparseSystem(
-        matrix=Kf, rhs=rhs[free], symmetric=symmetric,
-        grid=StructuredGrid.from_box((0, 1, 0, 1), 2, 2), bc="dirichlet0",
-    )
-    uf = solve(sysm, rel_tol=rel_tol)
+    uf = solve(SparseSystem(matrix=Kf, rhs=rhs[free], symmetric=symmetric), rel_tol=rel_tol)
     vals = np.zeros(nv)
     vals[free] = uf.values
     return P1Function(mesh, vals)
@@ -403,25 +383,13 @@ def numerical_corrector(
     with M_i the element average of the coarse gradient; by linearity the
     e1/e2 direction solves are combined with the components of M_i.
     """
-    inv_T0 = 1.0 / (T * eps * eps)
     M = u_coarse.element_gradients()
     cents = mesh.centroids()
     gammas, grids = [], []
     for e in range(mesh.n_elements):
         grid = _patch_grid(cents[e], 0.5 * delta * mesh.H, mesh.extent, h)
-        per_dir = []
-        for d in range(2):
-            xi = np.eye(2)[d]
-            base = []
-            x0 = None
-            for j in range(kprime):
-                system = assemble(grid, field_eps, inv_T0 / 2.0**j, xi=xi, bc="dirichlet0")
-                u = solve(system, rel_tol=rel_tol, x0=x0)
-                base.append(u.values)
-                x0 = base[-1].copy()
-            vals = richardson_combine(base) if kprime > 1 else base[0]
-            per_dir.append(DofVector(vals, grid, "dirichlet0"))
-        gammas.append(per_dir)
+        op = CorrectorOperator.from_field(grid, field_eps)
+        gammas.append(_patch_correctors(op, T * eps * eps, kprime, rel_tol))
         grids.append(grid)
     return NumericalCorrectorSet(gammas=gammas, grids=grids, M=M, kprime=kprime)
 
@@ -513,8 +481,10 @@ def hmm_solve(
 
     T defaults to H/eps, h to eps/8, and the filter order to 2k - 1.
     """
-    mesh = CoarseMesh.rectangle(extent[0], extent[1], H)
     T = (H / eps) if T is None else T
+    if math.isinf(T) and k != 1:
+        raise ValueError("T = inf admits no extrapolation (k must be 1)")
+    mesh = CoarseMesh.rectangle(extent[0], extent[1], H)
     h = (eps / 8.0) if h is None else h
     filt = build_filter(2 * k - 1 if p is None else p)
     field_eps = scaled_field(field, eps)

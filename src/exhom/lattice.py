@@ -18,6 +18,12 @@ nontrivial in both directions.
 with the same exact cell value, via the closed form
 (1 + 100 + 2*(200/101))/4; its correctors vanish identically, which makes
 it a useful cross-check but useless for resonance-error sweeps.
+
+A box problem is a `CorrectorOperator` on the (S-1)^2 interior sites of an
+S-cell box: the five-point matrix K with identity mass, so rung j of the
+dyadic ladder solves (K + I / (2^j T)) x = b_xi with the same multigrid
+preconditioned Krylov solver as the Q1 correctors (grid.py), and both
+directions of a tensor share one operator.
 """
 
 from __future__ import annotations
@@ -29,11 +35,10 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .averaging import Filter
-from .corrector import richardson_combine
-from .grid import SolverError
+from .corrector import extrapolate, solve_ladder
+from .grid import CorrectorOperator, StructuredGrid
 
 __all__ = [
     "LatticeField",
@@ -247,24 +252,8 @@ def _edge_arrays(field: LatticeField, coords):
     return field.a_h(X1, X2), field.a_v(X1, X2)
 
 
-def lattice_corrector(
-    field: LatticeField,
-    R: int,
-    T: float,
-    k: int = 1,
-    xi=(1.0, 0.0),
-    rel_tol: float = 1e-12,
-) -> LatticeCorrector:
-    """Solve (and dyadically extrapolate) the discrete box corrector.
-
-    R is the box side in lattice units (R/4 periodic cells per dimension);
-    homogeneous Dirichlet values on the box boundary; T = inf gives the
-    naive problem, finite T adds the zero-order term with the dyadic ladder
-    T, 2T, ..., 2^{k-1} T feeding the Richardson combiner.
-    """
-    xi = np.asarray(xi, dtype=float)
-    if math.isinf(T) and k != 1:
-        raise ValueError("T = inf admits no extrapolation")
+def _lattice_operator(field: LatticeField, R: int) -> CorrectorOperator:
+    """Five-point operator of the box of side R on its interior sites."""
     S, coords = _box_offsets(R)
     ah, av = _edge_arrays(field, coords)  # (S+1, S+1) at all sites
 
@@ -298,34 +287,36 @@ def lattice_corrector(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(nin * nin, nin * nin),
     ).tocsr()
-    rhs = xi[0] * (aE - aW) + xi[1] * (aN - aS)
+    loads = np.stack([aE - aW, aN - aS])
+    lo, hi = float(coords[0]), float(coords[-1])
+    grid = StructuredGrid.from_box((lo, hi, lo, hi), S, S)
+    return CorrectorOperator(grid, "dirichlet0", K, sp.identity(nin * nin, format="csr"), loads, symmetric=True)
 
-    M_diag = np.ones(nin * nin)
 
-    def solve_at(Tval, x0=None):
-        A = K if math.isinf(Tval) else (K + sp.diags(M_diag / Tval)).tocsr()
-        if not np.any(rhs):
-            return np.zeros(nin * nin)
-        Pre = sp.diags(1.0 / A.diagonal())
-        x, info = spla.cg(A, rhs, rtol=rel_tol, atol=0.0, maxiter=50000, M=Pre, x0=x0)
-        res = np.linalg.norm(rhs - A @ x) / np.linalg.norm(rhs)
-        if info != 0 or res > rel_tol * 1.001:
-            raise SolverError(f"lattice CG stalled (info={info}, residual {res:.2e})", res)
-        return x
+def _box_correctors(field: LatticeField, R: int, T: float, k: int, xis, rel_tol: float) -> list:
+    """Extrapolated correctors for each xi, sharing one box operator."""
+    ladders = solve_ladder(_lattice_operator(field, R), T, k, xis, rel_tol=rel_tol)
+    return [
+        LatticeCorrector(nodal=extrapolate(lad).u.nodal(), R=R, T=T, k=k, xi=lad[0].xi) for lad in ladders
+    ]
 
-    if math.isinf(T):
-        sol = solve_at(T)
-    else:
-        base = []
-        x0 = None
-        for j in range(k):
-            x0 = solve_at(T * 2.0**j, x0=x0)
-            base.append(x0)
-        sol = richardson_combine(base) if k > 1 else base[0]
 
-    nodal = np.zeros((S + 1, S + 1))
-    nodal[1:-1, 1:-1] = sol.reshape(nin, nin)
-    return LatticeCorrector(nodal=nodal, R=R, T=T, k=k, xi=xi)
+def lattice_corrector(
+    field: LatticeField,
+    R: int,
+    T: float,
+    k: int = 1,
+    xi=(1.0, 0.0),
+    rel_tol: float = 1e-12,
+) -> LatticeCorrector:
+    """Solve (and dyadically extrapolate) the discrete box corrector.
+
+    R is the box side in lattice units (R/4 periodic cells per dimension);
+    homogeneous Dirichlet values on the box boundary; T = inf gives the
+    naive problem, finite T adds the zero-order term with the dyadic ladder
+    T, 2T, ..., 2^{k-1} T feeding the Richardson combiner.
+    """
+    return _box_correctors(field, R, T, k, [xi], rel_tol)[0]
 
 
 def lattice_energy_identity(field: LatticeField, corr: LatticeCorrector) -> float:
@@ -368,7 +359,7 @@ def lattice_hom(
     if L > S / 2:
         raise ValueError(f"averaging window L={L} exceeds the box half-width {S // 2}")
     ah, av = _edge_arrays(field, coords)
-    corr = [lattice_corrector(field, R, T, k, xi=np.eye(2)[d], rel_tol=rel_tol) for d in range(2)]
+    corr = _box_correctors(field, R, T, k, np.eye(2), rel_tol)
 
     X1, X2 = np.meshgrid(coords.astype(float), coords.astype(float), indexing="ij")
     wh = filt.weights_nd(

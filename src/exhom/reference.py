@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .coeffs import CoefficientField
-from .grid import DofVector, StructuredGrid, assemble, interpolate_gradient, solve
+from .grid import CorrectorOperator, DofVector, StructuredGrid, interpolate_gradient, solve
 
 __all__ = ["PeriodicCorrector", "CellProblemResult", "periodic_cell", "laminate_oracle"]
 
@@ -73,23 +73,22 @@ def periodic_cell(field: CoefficientField, n: int, rel_tol: float = 1e-10) -> Ce
         raise ValueError(f"field {field.name!r} has no period; no cell problem exists")
     px, py = float(field.period[0]), float(field.period[1])
     grid = StructuredGrid.from_box((0.0, px, 0.0, py), n, n)
+    op = CorrectorOperator.from_field(grid, field, "periodic")
 
-    def corr(dual: bool):
-        out = []
-        eff = field.transpose() if dual else field
-        for d in range(2):
-            system = assemble(grid, eff, 0.0, xi=np.eye(2)[d], bc="periodic")
-            u = _zero_mean(solve(system, rel_tol=rel_tol))
-            out.append(PeriodicCorrector(u=u, period=np.array([px, py])))
-        return out
+    def corr(o):
+        systems = o.systems(0.0, [o.rhs(xi) for xi in np.eye(2)])
+        return [
+            PeriodicCorrector(u=_zero_mean(solve(s, rel_tol=rel_tol)), period=np.array([px, py]))
+            for s in systems
+        ]
 
-    primal = corr(dual=False)
-    dual = primal if field.is_symmetric else corr(dual=True)
+    primal = corr(op)
+    dual = primal if field.is_symmetric else corr(op.transpose())
 
     pts = grid.quad_points()
     w = grid.quad_weight()
     vol = w * pts.shape[0]
-    A_q = field(pts)
+    A_q = op.A_q.reshape(-1, 2, 2)
     eye = np.eye(2)
     A = np.zeros((2, 2))
     gp = [interpolate_gradient(c.u, pts) for c in primal]

@@ -12,7 +12,6 @@ default) of the same quantity on the same grid.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import time
 from dataclasses import dataclass, field as dc_field, asdict
@@ -333,6 +332,7 @@ def _rebundle(bundle, k: int):
         primal=primal,
         dual=dual,
         ladders=bundle.ladders,
+        A_q=bundle.A_q,
     )
 
 
@@ -423,12 +423,6 @@ def _fmt_row(row):
         else:
             out.append(v)
     return out
-
-
-def records_csv_text(records) -> str:
-    buf = io.StringIO()
-    write_csv(records, buf)
-    return buf.getvalue()
 
 
 def write_gnuplot(records: Sequence[StudyRecord], path) -> None:

@@ -240,3 +240,14 @@ def test_laminate_tensor_against_oracle():
     # tolerance covers O(h^2) + the T/R systematic terms at R = 8
     assert np.allclose(H.matrix, oracle, atol=0.03)
     assert H.matrix[1, 1] == pytest.approx(2.0, abs=2e-3)
+
+
+@pytest.mark.parametrize("p", [0, 1, 3, 4, "inf"])
+def test_grid_weights_bitwise_equal_to_weights_nd(p):
+    filt = build_filter(p)
+    for grid, L, center in (
+        (StructuredGrid.square(3.0, 48, center=(0.5, -0.25)), 2.0, (0.5, -0.25)),
+        (StructuredGrid.from_box((0.1, 0.4, 0.55, 0.8), 23, 19), 0.0625, (0.23, 0.7)),
+    ):
+        expected = filt.weights_nd(grid.quad_points(), L, center)
+        assert np.array_equal(filt.grid_weights(grid, L, center), expected)

@@ -130,6 +130,11 @@ def test_degenerate_consistency_with_constant_field():
     assert np.allclose(res.tensor_map.tensors, A0, atol=1e-8)
 
 
+def test_unregularized_hmm_rejects_extrapolation():
+    with pytest.raises(ValueError, match="k must be 1"):
+        hmm_solve(catalog("mat2"), eps=1 / 8, H=0.25, f=F_ONE, T=np.inf, k=2)
+
+
 def test_numerical_corrector_constant_field():
     A0 = np.eye(2) * 2.0
     field = constant(A0)
