@@ -19,14 +19,14 @@ is clipped by a domain boundary, as in the multiscale solver).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
 
 from .coeffs import CoefficientField
-from .corrector import extrapolate_prefix, solve_ladder
+from .corrector import extrapolate, solve_ladder
 from .grid import CorrectorOperator, StructuredGrid
 
 __all__ = [
@@ -220,16 +220,33 @@ class HomTensor:
 
 @dataclass
 class CorrectorBundle:
-    """Primal and dual extrapolated correctors for both coordinate directions."""
+    """Primal and dual extrapolated correctors for both coordinate directions.
+
+    `ladders` is (primal, dual): for xi = e1, e2, the base solves at T, 2T,
+    ..., 2^{kmax-1} T; for symmetric fields `dual` is the same object as
+    `primal`.  `primal` and `dual` are the level-k correctors, extrapolated
+    from the first k rungs.  `at_level(j)` is the same bundle viewed at any
+    level j up to the ladder length, with no new solve.
+    """
 
     grid: StructuredGrid
     field: CoefficientField
     T: float
     k: int
-    primal: list  # CorrectorSolution for xi = e1, e2
-    dual: list
-    ladders: dict  # (direction index, dual flag) -> base ladder
+    ladders: tuple
     A_q: np.ndarray  # the field at the grid's Gauss points, from the solves' operator
+    primal: list = dc_field(init=False)
+    dual: list = dc_field(init=False)
+
+    def __post_init__(self):
+        primal, dual = self.ladders
+        if not 1 <= self.k <= len(primal[0]):
+            raise ValueError(f"level k={self.k} needs 1 <= k <= {len(primal[0])} solved rungs")
+        self.primal = [extrapolate(lad[: self.k]) for lad in primal]
+        self.dual = self.primal if dual is primal else [extrapolate(lad[: self.k]) for lad in dual]
+
+    def at_level(self, k: int) -> "CorrectorBundle":
+        return replace(self, k=k)
 
     def gradients_at_quad(self):
         gp = [s.gradient_at_quad() for s in self.primal]
@@ -248,24 +265,17 @@ def solve_corrector_bundle(
     """Solve the 2k (or 4k, non-symmetric) corrector problems behind a tensor.
 
     `kmax` >= k solves a longer dyadic ladder whose prefixes serve every
-    level up to kmax (used by the error-estimator studies); extrapolation to
-    level k uses the first k rungs.
+    level up to kmax (used by the error-estimator studies); the bundle is
+    at level k.
     """
-    if math.isinf(T) and k != 1:
-        raise ValueError("T = inf requires k = 1")
-    km = 1 if math.isinf(T) else (k if kmax is None else kmax)
     op = CorrectorOperator.from_field(grid, field)
+    km = k if kmax is None else kmax
     primal = solve_ladder(op, T, km, np.eye(2), rel_tol=rel_tol)
     if field.is_symmetric:
         dual = primal
     else:
         dual = solve_ladder(op.transpose(), T, km, np.eye(2), dual=True, rel_tol=rel_tol)
-    ladders = {(d, flag): lads[d] for d in range(2) for flag, lads in ((False, primal), (True, dual))}
-    primal_k = [extrapolate_prefix(lad, k) for lad in primal]
-    dual_k = primal_k if dual is primal else [extrapolate_prefix(lad, k) for lad in dual]
-    return CorrectorBundle(
-        grid=grid, field=field, T=T, k=k, primal=primal_k, dual=dual_k, ladders=ladders, A_q=op.A_q
-    )
+    return CorrectorBundle(grid=grid, field=field, T=T, k=k, ladders=(primal, dual), A_q=op.A_q)
 
 
 def _tensor_from_gradients(

@@ -8,28 +8,43 @@ interface; the CLI wraps it for quick runs and CSV emission.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
+import os
 import sys
+import time
 
 import numpy as np
 
 from . import study
 from .averaging import build_filter, hom_tensor_prime, hom_tensor_projected
-from .coeffs import catalog
-from .corrector import corrector_error, solve_regularized
-from .grid import StructuredGrid
-from .hmm import fine_reference, h1_distance, hmm_solve, numerical_corrector, scaled_field
+from .coeffs import catalog, constant
+from .corrector import corrector_error, corrector_ladder, extrapolate
+from .grid import StructuredGrid, gradient_field
+from .hmm import (
+    fine_reference,
+    h1_distance,
+    hmm_solve,
+    numerical_corrector,
+    reconstructed_gradient,
+    scaled_field,
+)
 from .lattice import LatticeField, default_pattern, exact_cell_hom, lattice_hom
 from .reference import laminate_oracle, periodic_cell
 from .study import fit_slope, write_csv, write_gnuplot
 
 
-def _parse_T(value, R, default_div):
-    if value in (None, "auto"):
-        return R / default_div
-    if value in ("inf", "infty"):
-        return math.inf
-    return float(value)
+def _parse_T(s):
+    """None for 'auto' (the subcommand's default policy), else a positive number or inf."""
+    if s == "auto":
+        return None
+    try:
+        T = float(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'auto', 'inf' or a positive number, got {s!r}") from None
+    if not T > 0:
+        raise argparse.ArgumentTypeError(f"T must be positive, got {s!r}")
+    return T
 
 
 def _parse_xi(s):
@@ -44,27 +59,11 @@ def _parse_xi(s):
     return v / norm
 
 
-def _parse_hmm_T(s):
-    """None for 'auto', else the number (possibly inf)."""
-    if s == "auto":
-        return None
-    try:
-        return float(s)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'auto', 'inf' or a number, got {s!r}") from None
-
-
 def cmd_corrector(args):
     field = catalog(args.field)
     grid = StructuredGrid.square(args.R, args.n)
-    T = _parse_T(args.T, args.R, 100.0)
-    from .corrector import corrector_ladder, extrapolate_prefix
-
-    if math.isinf(T):
-        sol = solve_regularized(grid, field, T, args.xi, dual=args.dual)
-    else:
-        ladder = corrector_ladder(grid, field, T, args.k, args.xi, dual=args.dual)
-        sol = extrapolate_prefix(ladder, args.k)
+    T = args.R / 100.0 if args.T is None else args.T
+    sol = extrapolate(corrector_ladder(grid, field, T, args.k, args.xi, dual=args.dual))
     g = sol.gradient_at_quad()
     print(f"corrector: field={args.field} R={args.R} n={args.n} T={T:g} k={args.k}")
     print(f"  mean |grad phi|^2 on the box: {np.mean(np.sum(g * g, axis=1)):.6e}")
@@ -80,7 +79,7 @@ def cmd_corrector(args):
 
 def cmd_homogenize(args):
     field = catalog(args.field)
-    T = _parse_T(args.T, args.R, 100.0)
+    T = args.R / 100.0 if args.T is None else args.T
     L = args.L if args.L is not None else args.R / 3.0
     filt = build_filter(args.p)
     make = hom_tensor_projected if args.variant == "projected" else hom_tensor_prime
@@ -118,7 +117,7 @@ def cmd_lattice(args):
     field = LatticeField.from_file(args.pattern_file) if args.pattern_file else default_pattern()
     Acell = exact_cell_hom(field)
     print(f"pattern {field.name}: exact cell value A_hom = {Acell[0,0]:.12f} (offdiag {Acell[0,1]:.1e})")
-    T = _parse_T(args.T, args.R, 10.0)
+    T = args.R / 10.0 if args.T is None else args.T
     filt = build_filter(args.p)
     A = lattice_hom(field, args.R, T, args.k, args.R / 3.0, filt)
     print(f"A'_{{T={T:g},k={args.k},R={args.R},L={args.R/3:.3f},p={args.p}}} = {A[0,0]:.9f}"
@@ -142,9 +141,6 @@ def cmd_hmm(args):
     if args.reference:
         field_eps = scaled_field(field, args.eps)
         u_eps = fine_reference(field_eps, (1.0, 1.0), res.params["h"] / 2.0, f_src)
-        from .hmm import reconstructed_gradient
-        from .grid import gradient_field
-
         corr = numerical_corrector(res.mesh, res.u, field_eps, args.eps,
                                    res.params["T"], args.kprime or args.k, args.delta, res.params["h"])
         pts = u_eps.grid.quad_points()
@@ -159,10 +155,8 @@ def cmd_hmm(args):
             Ae = res.tensor_map.tensors[e]
             rows.append([e, *res.mesh.centroids()[e], Ae[0, 0], Ae[0, 1], Ae[1, 0], Ae[1, 1],
                          res.tensor_map.provenance[e]])
-        import csv as _csv
-
         with open(args.csv, "w", newline="") as fh:
-            w = _csv.writer(fh)
+            w = csv.writer(fh)
             w.writerow(["element", "cx", "cy", "a11", "a12", "a21", "a22", "provenance"])
             w.writerows(rows)
         print(f"  per-element tensors written to {args.csv}")
@@ -202,19 +196,14 @@ def cmd_study(args):
 
 
 def _hmm_preset_records():
-    import time
-
-    from .coeffs import catalog as _cat
-
-    field = _cat("mat2")
+    field = catalog("mat2")
     recs = []
     eps = 1.0 / 16.0
     f_src = lambda p: np.ones(p.shape[0])
-    cell = periodic_cell(field, 128)
+    u_hom = fine_reference(constant(periodic_cell(field, 128).A_hom), (1.0, 1.0), 1.0 / 256, f_src)
     for H in (0.5, 0.25):
         t0 = time.perf_counter()
         res = hmm_solve(field, eps, H, f_src, k=1)
-        u_hom = _uhom_reference(cell.A_hom, f_src, 1.0 / 256)
         _, _, dh1 = h1_distance(u_hom, res.u)
         recs.append(
             study.StudyRecord(
@@ -226,20 +215,10 @@ def _hmm_preset_records():
     return recs
 
 
-def _uhom_reference(A_hom, f_src, h_ref):
-    from .coeffs import constant
-
-    return fine_reference(constant(A_hom), (1.0, 1.0), h_ref, f_src)
-
-
 def _append_csv(path, records):
-    import os
-
     exists = os.path.exists(path)
     with open(path, "a", newline="") as fh:
-        import csv as _csv
-
-        w = _csv.writer(fh, lineterminator="\n")
+        w = csv.writer(fh, lineterminator="\n")
         if not exists:
             w.writerow(study.CSV_COLUMNS)
         for r in records:
@@ -254,7 +233,7 @@ def main(argv=None):
     c.add_argument("--field", required=True)
     c.add_argument("--R", type=float, required=True)
     c.add_argument("--n", type=int, required=True)
-    c.add_argument("--T", default="auto", help="'auto' (= R/100), 'inf', or a number")
+    c.add_argument("--T", type=_parse_T, default="auto", help="'auto' (= R/100), 'inf', or a number")
     c.add_argument("--k", type=int, default=1)
     c.add_argument("--xi", type=_parse_xi, default="1,0", help="direction 'x1,x2' (normalized)")
     c.add_argument("--dual", action="store_true")
@@ -266,7 +245,7 @@ def main(argv=None):
     hcmd.add_argument("--field", required=True)
     hcmd.add_argument("--R", type=float, required=True)
     hcmd.add_argument("--n", type=int, required=True)
-    hcmd.add_argument("--T", default="auto")
+    hcmd.add_argument("--T", type=_parse_T, default="auto", help="'auto' (= R/100), 'inf', or a number")
     hcmd.add_argument("--k", type=int, default=1)
     hcmd.add_argument("--L", type=float, default=None)
     hcmd.add_argument("--p", default="3")
@@ -281,7 +260,7 @@ def main(argv=None):
 
     lat = sub.add_parser("lattice", help="exact discrete warm-up pipeline")
     lat.add_argument("--R", type=int, default=40, help="box side in lattice units")
-    lat.add_argument("--T", default="auto", help="'auto' (= R/10), 'inf', or a number")
+    lat.add_argument("--T", type=_parse_T, default="auto", help="'auto' (= R/10), 'inf', or a number")
     lat.add_argument("--k", type=int, default=1)
     lat.add_argument("--p", default="inf")
     lat.add_argument("--pattern-file", default=None)
@@ -292,7 +271,7 @@ def main(argv=None):
     hm.add_argument("--eps", type=float, default=1 / 16)
     hm.add_argument("--H", type=float, default=0.25)
     hm.add_argument("--delta", type=float, default=1.5)
-    hm.add_argument("--T", type=_parse_hmm_T, default="auto", help="'auto' (= H/eps), 'inf', or a number")
+    hm.add_argument("--T", type=_parse_T, default="auto", help="'auto' (= H/eps), 'inf', or a number")
     hm.add_argument("--k", type=int, default=1)
     hm.add_argument("--kprime", type=int, default=None)
     hm.add_argument("--h", default="auto")
@@ -311,8 +290,9 @@ def main(argv=None):
     st.set_defaults(func=cmd_study)
 
     args = ap.parse_args(argv)
-    if args.func is cmd_hmm and args.T is not None and math.isinf(args.T) and (args.k, args.kprime or 1) != (1, 1):
-        hm.error("--T inf admits no extrapolation: --k and --kprime must be 1")
+    if getattr(args, "T", None) == math.inf and (args.k, getattr(args, "kprime", None) or 1) != (1, 1):
+        flags = "--k and --kprime" if args.cmd == "hmm" else "--k"
+        sub.choices[args.cmd].error(f"--T inf admits no extrapolation: {flags} must be 1")
     return args.func(args) or 0
 
 

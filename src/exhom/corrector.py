@@ -8,8 +8,11 @@ and the extrapolated families are built by the dyadic induction
 
     phi_{T,1} = phi_T,    phi_{T,k+1} = (2^k phi_{2T,k} - phi_{T,k}) / (2^k - 1),
 
-which cancels successive powers of T^{-1} in the systematic error.  Dual
-correctors use the pointwise transpose field.
+which cancels successive powers of T^{-1} in the systematic error.
+`richardson_weights` is the one implementation of this induction: it runs
+it exactly on rationals, and `richardson_combine` (vectors) and `psi_value`
+(the scalar resolvent functions) apply its weights.  Dual correctors use
+the pointwise transpose field.
 
 Every rung of a ladder shares one `CorrectorOperator` (grid.py): the field
 is evaluated and the stiffness assembled once, and rung j solves
@@ -27,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import mpmath
@@ -89,10 +93,12 @@ def solve_ladder(
 
     Returns one ladder (list of k = 1 solutions) for each xi in `xis`.  The
     rungs run in order; the directions of a rung share its hierarchy, and
-    each warm-starts from its own previous rung.  T = inf (with kmax = 1)
-    is the unregularized problem.  `dual` marks the solutions as dual
-    correctors (the caller passes the transpose operator).
+    each warm-starts from its own previous rung.  T must be positive; T = inf
+    (with kmax = 1) is the unregularized problem.  `dual` marks the solutions
+    as dual correctors (the caller passes the transpose operator).
     """
+    if not T > 0:  # also rejects NaN
+        raise ValueError(f"T must be positive, got {T!r}")
     if math.isinf(T) and kmax != 1:
         raise ValueError("T = inf admits no extrapolation (k must be 1)")
     xis = [np.asarray(xi, dtype=float) for xi in xis]
@@ -142,14 +148,12 @@ def corrector_ladder(
     return solve_ladder(op, T, kmax, [xi], dual=dual, rel_tol=rel_tol)[0]
 
 
-def richardson_weights(k: int):
+def richardson_weights(k: int) -> list[Fraction]:
     """Coefficients of phi_{T,k} on the base solves (phi_T, ..., phi_{2^{k-1}T}).
 
     Computed exactly with fractions by running the defining induction; the
     weights of each level sum to one.
     """
-    from fractions import Fraction
-
     # table[j] = weights of phi_{2^j T, level} as the induction advances
     table = [[Fraction(1) if i == j else Fraction(0) for i in range(k)] for j in range(k)]
     for level in range(1, k):
@@ -166,11 +170,7 @@ def richardson_combine(vectors: Sequence[np.ndarray], k: Optional[int] = None) -
     k = len(vectors) if k is None else k
     if len(vectors) != k:
         raise ValueError("need exactly k base vectors")
-    level = [np.asarray(v, dtype=float) for v in vectors]
-    for lev in range(1, k):
-        c = 2.0**lev
-        level = [(c * level[j + 1] - level[j]) / (c - 1.0) for j in range(len(level) - 1)]
-    return level[0]
+    return sum(float(w) * np.asarray(v, dtype=float) for w, v in zip(richardson_weights(k), vectors))
 
 
 def extrapolate(solutions: Sequence[CorrectorSolution]) -> CorrectorSolution:
@@ -208,11 +208,6 @@ def extrapolate(solutions: Sequence[CorrectorSolution]) -> CorrectorSolution:
     return CorrectorSolution(grid=first.grid, u=u, T=T, k=k, xi=first.xi, dual=first.dual)
 
 
-def extrapolate_prefix(solutions: Sequence[CorrectorSolution], k: int) -> CorrectorSolution:
-    """Level-k extrapolation from the first k rungs of a longer ladder."""
-    return extrapolate(list(solutions[:k]))
-
-
 def residual_identity_check(
     phi_Tk1: CorrectorSolution,
     phi_2Tk: CorrectorSolution,
@@ -248,15 +243,14 @@ def residual_identity_check(
 
 
 def psi_value(T, k: int, lam, dps: int = 60):
-    """psi_{T,k}(lambda) by the defining induction, in mpmath arithmetic."""
+    """psi_{T,k}(lambda): the Richardson weights applied to 1/((2^j T)^{-1} + lambda), in mpmath."""
     with mpmath.workdps(dps):
         T = mpmath.mpf(T)
         lam = mpmath.mpf(lam)
-        vals = [1 / (1 / (T * 2**j) + lam) for j in range(k)]
-        for level in range(1, k):
-            c = mpmath.mpf(2) ** level
-            vals = [(c * vals[j + 1] - vals[j]) / (c - 1) for j in range(len(vals) - 1)]
-        return vals[0]
+        return mpmath.fsum(
+            mpmath.mpf(w.numerator) / w.denominator / (1 / (T * 2**j) + lam)
+            for j, w in enumerate(richardson_weights(k))
+        )
 
 
 def psi_identity_check(T: float, k: int, lambdas, dps: int = 60) -> float:

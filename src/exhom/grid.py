@@ -50,6 +50,7 @@ __all__ = [
     "mass_matrix",
     "solve",
     "gradient_field",
+    "values_at_quad",
 ]
 
 _G = 1.0 / np.sqrt(3.0)
@@ -572,23 +573,29 @@ def solve(
     )
 
 
+def _cell_corners(u: DofVector) -> np.ndarray:
+    """(ncells, 4) nodal values of `u` at each cell's corners, local node order."""
+    g = u.grid
+    nodal = u.nodal()
+    return np.stack([nodal[ax : ax + g.nx, ay : ay + g.ny].ravel() for ax, ay in _NODE_OFFSETS], axis=1)
+
+
+def values_at_quad(u: DofVector) -> np.ndarray:
+    """Values of the Q1 interpolant at all 2x2 Gauss points.
+
+    Returns a (4 * ncells,) array ordered like `grid.quad_points()`.
+    """
+    N = np.stack([_shape_values(*gp)[0] for gp in GAUSS_POINTS], axis=1)  # (local node, gp)
+    return (_cell_corners(u) @ N).ravel()
+
+
 def gradient_field(u: DofVector) -> np.ndarray:
     """Gradient of the Q1 interpolant at all 2x2 Gauss points.
 
     Returns a (4 * ncells, 2) array ordered like `grid.quad_points()`.
     """
     g = u.grid
-    nodal = u.nodal()
-    I, J = np.meshgrid(np.arange(g.nx), np.arange(g.ny), indexing="ij")
-    corners = np.stack(
-        [
-            nodal[I, J].ravel(),
-            nodal[I + 1, J].ravel(),
-            nodal[I, J + 1].ravel(),
-            nodal[I + 1, J + 1].ravel(),
-        ],
-        axis=1,
-    )  # (ncells, 4)
+    corners = _cell_corners(u)
     out = np.empty((g.nx * g.ny, 4, 2))
     for gp in range(4):
         _, dN = _shape_values(*GAUSS_POINTS[gp])

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .averaging import Filter, _tensor_from_gradients, build_filter
+from .averaging import Filter, _tensor_from_gradients, build_filter, solve_corrector_bundle
 from .coeffs import CoefficientField
 from .corrector import extrapolate, solve_ladder
 from .grid import (
@@ -36,6 +36,7 @@ from .grid import (
     gradient_field,
     interpolate_gradient,
     solve,
+    values_at_quad,
 )
 
 __all__ = [
@@ -148,8 +149,8 @@ class CoarseMesh:
     def locate(self, points: np.ndarray) -> np.ndarray:
         """Element index containing each point (structured crisscross mesh)."""
         ax, ay = self.extent
-        nx = int(round(ax / self.H))
-        ny = int(round(ay / self.H))
+        # the cell counts `rectangle` chose; H is the larger spacing of the two
+        nx, ny = (np.unique(self.vertices[:, a]).size - 1 for a in range(2))
         hx, hy = ax / nx, ay / ny
         pts = np.atleast_2d(points)
         i = np.clip((pts[:, 0] / hx).astype(int), 0, nx - 1)
@@ -225,11 +226,6 @@ def _patch_grid(center, half_width: float, extent, h: float) -> StructuredGrid:
     return StructuredGrid.from_box((x0, x1, y0, y1), nx, ny)
 
 
-def _patch_correctors(op: CorrectorOperator, T: float, k: int, rel_tol: float, dual: bool = False):
-    """Level-k extrapolated patch correctors for xi = e1, e2 on one operator."""
-    return [extrapolate(lad).u for lad in solve_ladder(op, T, k, np.eye(2), dual=dual, rel_tol=rel_tol)]
-
-
 def local_tensor(
     centroid,
     field_eps: CoefficientField,
@@ -249,15 +245,10 @@ def local_tensor(
     H/2 centered at the element centroid, clipped-mass normalized.
     """
     grid = _patch_grid(centroid, 0.5 * delta * H, extent, h)
-    op = CorrectorOperator.from_field(grid, field_eps)
-    T_patch = T * eps * eps
-    gp = [gradient_field(u) for u in _patch_correctors(op, T_patch, k, rel_tol)]
-    if field_eps.is_symmetric:
-        gd = gp
-    else:
-        gd = [gradient_field(u) for u in _patch_correctors(op.transpose(), T_patch, k, rel_tol, dual=True)]
+    bundle = solve_corrector_bundle(field_eps, grid, T * eps * eps, k, rel_tol=rel_tol)
+    gp, gd = bundle.gradients_at_quad()
     mat, _, _, _ = _tensor_from_gradients(
-        grid, op.A_q, gp, gd, filt, 0.5 * H, project=True, center=tuple(centroid)
+        grid, bundle.A_q, gp, gd, filt, 0.5 * H, project=True, center=tuple(centroid)
     )
     return mat
 
@@ -389,7 +380,8 @@ def numerical_corrector(
     for e in range(mesh.n_elements):
         grid = _patch_grid(cents[e], 0.5 * delta * mesh.H, mesh.extent, h)
         op = CorrectorOperator.from_field(grid, field_eps)
-        gammas.append(_patch_correctors(op, T * eps * eps, kprime, rel_tol))
+        ladders = solve_ladder(op, T * eps * eps, kprime, np.eye(2), rel_tol=rel_tol)
+        gammas.append([extrapolate(lad).u for lad in ladders])
         grids.append(grid)
     return NumericalCorrectorSet(gammas=gammas, grids=grids, M=M, kprime=kprime)
 
@@ -430,30 +422,13 @@ def h1_distance(u_fine: DofVector, u_coarse: P1Function) -> tuple:
     g = u_fine.grid
     pts = g.quad_points()
     w = g.quad_weight()
-    ufine_vals = _q1_values_at_quad(u_fine)
+    ufine_vals = values_at_quad(u_fine)
     gfine = gradient_field(u_fine)
     ucoarse_vals = u_coarse(pts)
     gcoarse = u_coarse.gradient_at(pts)
     dl2 = w * np.sum((ufine_vals - ucoarse_vals) ** 2)
     dh1s = w * np.sum((gfine - gcoarse) ** 2)
     return math.sqrt(dl2), math.sqrt(dh1s), math.sqrt(dl2 + dh1s)
-
-
-def _q1_values_at_quad(u: DofVector) -> np.ndarray:
-    g = u.grid
-    nodal = u.nodal()
-    from .grid import GAUSS_POINTS, _shape_values
-
-    I, J = np.meshgrid(np.arange(g.nx), np.arange(g.ny), indexing="ij")
-    corners = np.stack(
-        [nodal[I, J].ravel(), nodal[I + 1, J].ravel(), nodal[I, J + 1].ravel(), nodal[I + 1, J + 1].ravel()],
-        axis=1,
-    )
-    out = np.empty((g.nx * g.ny, 4))
-    for gp in range(4):
-        N, _ = _shape_values(*GAUSS_POINTS[gp])
-        out[:, gp] = corners @ N
-    return out.ravel()
 
 
 @dataclass
@@ -482,8 +457,6 @@ def hmm_solve(
     T defaults to H/eps, h to eps/8, and the filter order to 2k - 1.
     """
     T = (H / eps) if T is None else T
-    if math.isinf(T) and k != 1:
-        raise ValueError("T = inf admits no extrapolation (k must be 1)")
     mesh = CoarseMesh.rectangle(extent[0], extent[1], H)
     h = (eps / 8.0) if h is None else h
     filt = build_filter(2 * k - 1 if p is None else p)

@@ -160,16 +160,12 @@ def _cell_system(field: LatticeField):
 
 
 def exact_cell_hom(field: LatticeField) -> np.ndarray:
-    """Homogenized tensor from one exact periodic cell solve (float)."""
-    K, rhs = _cell_system(field)
-    N = P * P
-    phi = np.zeros((N, 2))
-    phi[1:] = np.linalg.solve(K[1:, 1:], rhs[1:])
-    return _cell_energy(field, phi)
+    """Homogenized tensor from the exact rational cell solve, rounded to float."""
+    return np.array(exact_cell_hom_rational(field), dtype=float)
 
 
 def exact_cell_hom_rational(field: LatticeField) -> list:
-    """Same as `exact_cell_hom` but in exact rational arithmetic."""
+    """Homogenized tensor of the 4x4-torus cell problem in exact rational arithmetic."""
     K, rhs = _cell_system(field)
     n = P * P - 1
     M = [[Fraction(K[1 + r, 1 + c]).limit_denominator(10**12) for c in range(n)]
@@ -204,24 +200,6 @@ def exact_cell_hom_rational(field: LatticeField) -> list:
                     gb2 = phi[node(i, j + 1)][b] - phi[x][b] + (1 if b == 1 else 0)
                     A[a][b] += H[i][j] * ga1 * gb1 + V[i][j] * ga2 * gb2
     return [[val / (P * P) for val in row] for row in A]
-
-
-def _cell_energy(field: LatticeField, phi: np.ndarray) -> np.ndarray:
-    def node(i, j):
-        return (i % P) * P + (j % P)
-
-    A = np.zeros((2, 2))
-    eye = np.eye(2)
-    for i in range(P):
-        for j in range(P):
-            x = node(i, j)
-            g1 = phi[node(i + 1, j)] - phi[x]
-            g2 = phi[node(i, j + 1)] - phi[x]
-            for a in range(2):
-                for b in range(2):
-                    A[a, b] += field.h[i, j] * (eye[a, 0] + g1[a]) * (eye[b, 0] + g1[b])
-                    A[a, b] += field.v[i, j] * (eye[a, 1] + g2[a]) * (eye[b, 1] + g2[b])
-    return A / (P * P)
 
 
 @dataclass

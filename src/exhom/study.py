@@ -11,24 +11,18 @@ default) of the same quantity on the same grid.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import time
-from dataclasses import dataclass, field as dc_field, asdict
+from dataclasses import astuple, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .averaging import (
-    Filter,
-    build_filter,
-    filtered_average,
-    hom_tensor_prime,
-    hom_tensor_projected,
-    solve_corrector_bundle,
-)
+from .averaging import build_filter, hom_tensor_prime, hom_tensor_projected, solve_corrector_bundle
 from .coeffs import CoefficientField, catalog
-from .corrector import CorrectorSolution, corrector_error, extrapolate_prefix
+from .corrector import corrector_error, solve_regularized
 from .grid import StructuredGrid
 from .lattice import LatticeField, default_pattern, exact_cell_hom, lattice_hom
 from .reference import periodic_cell
@@ -44,21 +38,6 @@ __all__ = [
     "sweep_ap",
     "write_csv",
     "write_gnuplot",
-]
-
-CSV_COLUMNS = [
-    "field",
-    "variant",
-    "T",
-    "k",
-    "R",
-    "L",
-    "p",
-    "n",
-    "h",
-    "error",
-    "error_def",
-    "wall_time",
 ]
 
 
@@ -78,8 +57,10 @@ class StudyRecord:
     wall_time: float
 
     def row(self):
-        d = asdict(self)
-        return [d[c] for c in CSV_COLUMNS]
+        return astuple(self)
+
+
+CSV_COLUMNS = [f.name for f in fields(StudyRecord)]
 
 
 @dataclass
@@ -144,12 +125,8 @@ def sweep_lattice(
         for name, Tspec, k in variants:
             Tval = (R / 10.0) if Tspec is None else Tspec
             t0 = time.perf_counter()
-            try:
-                A = lattice_hom(field, 4 * int(R), Tval, k, R / 3.0, filt, rel_tol=rel_tol)
-                err = _tensor_err(A, Aref)
-            except Exception as exc:  # keep the sweep going, record the failure
-                err = float("nan")
-                name = f"{name}:failed:{type(exc).__name__}"
+            A = lattice_hom(field, 4 * int(R), Tval, k, R / 3.0, filt, rel_tol=rel_tol)
+            err = _tensor_err(A, Aref)
             records.append(
                 StudyRecord(
                     field=field.name,
@@ -199,12 +176,8 @@ def sweep_periodic_tensor(
             filt = build_filter(p)
             t0 = time.perf_counter()
             make = hom_tensor_projected if projected else hom_tensor_prime
-            try:
-                H = make(field, R, n, Tval, k, R / 3.0, filt, rel_tol=rel_tol)
-                err = _tensor_err(H.matrix, Aref)
-            except Exception as exc:
-                err = float("nan")
-                name = f"{name}:failed:{type(exc).__name__}"
+            H = make(field, R, n, Tval, k, R / 3.0, filt, rel_tol=rel_tol)
+            err = _tensor_err(H.matrix, Aref)
             records.append(
                 StudyRecord(
                     field=field.name,
@@ -248,13 +221,9 @@ def sweep_corrector(
         for name, Tspec, k, window in variants:
             Tval = (R / 100.0) if Tspec is None else Tspec
             t0 = time.perf_counter()
-            try:
-                bundle = solve_corrector_bundle(field, grid, Tval, k, rel_tol=rel_tol)
-                # direction e1 follows the displayed curves; e2 behaves alike
-                err = corrector_error(bundle.primal[0], cell.correctors[0], window=window)
-            except Exception as exc:
-                err = float("nan")
-                name = f"{name}:failed:{type(exc).__name__}"
+            bundle = solve_corrector_bundle(field, grid, Tval, k, rel_tol=rel_tol)
+            # direction e1 follows the displayed curves; e2 behaves alike
+            err = corrector_error(bundle.primal[0], cell.correctors[0], window=window)
             records.append(
                 StudyRecord(
                     field=field.name,
@@ -305,35 +274,13 @@ def ap_estimator(
     grid = StructuredGrid.square(R, n)
     filt = build_filter(p)
     if bundle is None:
-        bundle = solve_corrector_bundle(field, grid, T, kref, rel_tol=rel_tol, kmax=kref)
-    Hk = hom_tensor_projected(field, R, n, T, k, L, filt, rel_tol=rel_tol, bundle=_rebundle(bundle, k))
+        bundle = solve_corrector_bundle(field, grid, T, kref, rel_tol=rel_tol)
+    bundle_k = bundle.at_level(k)
+    Hk = hom_tensor_projected(field, R, n, T, k, L, filt, rel_tol=rel_tol, bundle=bundle_k)
     Href = hom_tensor_projected(field, R, n, T, kref, L, filt, rel_tol=rel_tol, bundle=bundle)
     tensor_diff = _tensor_err(Hk.matrix, Href.matrix)
-    phi_k = extrapolate_prefix(bundle.ladders[(0, False)], k)
-    phi_ref = extrapolate_prefix(bundle.ladders[(0, False)], kref)
-    corr_diff = corrector_error(phi_k, phi_ref, window=(L / 2.0) / R)
+    corr_diff = corrector_error(bundle_k.primal[0], bundle.primal[0], window=(L / 2.0) / R)
     return tensor_diff, corr_diff, bundle
-
-
-def _rebundle(bundle, k: int):
-    """View an existing kref-ladder bundle at a lower extrapolation level."""
-    from .averaging import CorrectorBundle
-
-    primal = [extrapolate_prefix(bundle.ladders[(d, False)], k) for d in range(2)]
-    if bundle.field.is_symmetric:
-        dual = primal
-    else:
-        dual = [extrapolate_prefix(bundle.ladders[(d, True)], k) for d in range(2)]
-    return CorrectorBundle(
-        grid=bundle.grid,
-        field=bundle.field,
-        T=bundle.T,
-        k=k,
-        primal=primal,
-        dual=dual,
-        ladders=bundle.ladders,
-        A_q=bundle.A_q,
-    )
 
 
 def sweep_ap(
@@ -377,11 +324,8 @@ def sweep_ap(
         if naive:
             t0 = time.perf_counter()
             grid = StructuredGrid.square(R, n)
-            from .corrector import solve_regularized
-
             phi_naive = solve_regularized(grid, field, math.inf, np.array([1.0, 0.0]), rel_tol=rel_tol)
-            phi_ref = extrapolate_prefix(bundle.ladders[(0, False)], kref)
-            corr_diff = corrector_error(phi_naive, phi_ref, window=(R / 6.0) / R)
+            corr_diff = corrector_error(phi_naive, bundle.primal[0], window=(R / 6.0) / R)
             records.append(
                 StudyRecord(
                     field=field.name, variant="naive-corr", T=math.inf, k=1, R=float(R),
@@ -405,24 +349,17 @@ def write_csv(records: Sequence[StudyRecord], path_or_buf) -> None:
     """Fixed-column CSV, '.' decimal separator, rows sorted deterministically."""
     rows = [_fmt_row(r.row()) for r in _sorted(list(records))]
     if hasattr(path_or_buf, "write"):
-        w = csv.writer(path_or_buf, lineterminator="\n")
+        target = contextlib.nullcontext(path_or_buf)
+    else:
+        target = open(path_or_buf, "w", newline="")
+    with target as fh:
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(CSV_COLUMNS)
         w.writerows(rows)
-    else:
-        with open(path_or_buf, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(CSV_COLUMNS)
-            w.writerows(rows)
 
 
 def _fmt_row(row):
-    out = []
-    for v in row:
-        if isinstance(v, float):
-            out.append(f"{v:.12g}")
-        else:
-            out.append(v)
-    return out
+    return [f"{v:.12g}" if isinstance(v, float) else v for v in row]
 
 
 def write_gnuplot(records: Sequence[StudyRecord], path) -> None:

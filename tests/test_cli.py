@@ -43,3 +43,59 @@ def test_hmm_command_rejects_malformed_T(capsys):
         main(["hmm", "--T", "soon"])
     assert exc.value.code == 2
     assert "--T" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", [
+    ["corrector", "--field", "mat2", "--R", "1", "--n", "8"],
+    ["homogenize", "--field", "mat2", "--R", "1", "--n", "8"],
+    ["lattice", "--R", "16"],
+    ["hmm"],
+])
+@pytest.mark.parametrize("T", ["0", "-1", "nan", "-inf", "soon"])
+def test_T_must_be_auto_inf_or_positive(capsys, cmd, T):
+    with pytest.raises(SystemExit) as exc:
+        main([*cmd, "--T", T])
+    assert exc.value.code == 2
+    assert "--T" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", [
+    ["corrector", "--field", "mat2", "--R", "1", "--n", "8"],
+    ["homogenize", "--field", "mat2", "--R", "1", "--n", "8"],
+    ["lattice", "--R", "16"],
+])
+def test_unregularized_extrapolation_is_an_error(capsys, cmd):
+    with pytest.raises(SystemExit) as exc:
+        main([*cmd, "--T", "inf", "--k", "2"])
+    assert exc.value.code == 2
+    assert "--T inf" in capsys.readouterr().err
+
+
+def test_corrector_command_unregularized(capsys):
+    assert main(["corrector", "--field", "mat2", "--R", "1", "--n", "8", "--T", "inf"]) == 0
+    assert "T=inf" in capsys.readouterr().out
+
+
+def test_homogenize_command_runs(capsys):
+    assert main(["homogenize", "--field", "mat2", "--R", "1", "--n", "8", "--k", "2", "--L", "0.3"]) == 0
+    out = capsys.readouterr().out
+    assert "min sym eig" in out and "nan" not in out
+
+
+def test_reference_command_runs(capsys):
+    assert main(["reference", "--field", "laminate", "--n", "8"]) == 0
+    out = capsys.readouterr().out
+    assert "laminate oracle" in out and "A_hom" in out
+
+
+def test_lattice_command_runs(capsys):
+    assert main(["lattice", "--R", "16", "--k", "2"]) == 0
+    assert "exact cell value A_hom = 26.240099009901" in capsys.readouterr().out
+
+
+def test_study_command_writes_csv(capsys, tmp_path):
+    out = tmp_path / "lattice.csv"
+    assert main(["study", "--preset", "lattice", "--rlist", "3,4,5", "--out", str(out)]) == 0
+    assert "9 records written" in capsys.readouterr().out
+    header, *rows = out.read_text().splitlines()
+    assert header.startswith("field,variant,T,k,R") and len(rows) == 9

@@ -11,15 +11,15 @@ from exhom.corrector import (
     corrector_error,
     corrector_ladder,
     extrapolate,
-    extrapolate_prefix,
     psi_identity_check,
     psi_value,
     residual_identity_check,
     richardson_combine,
     richardson_weights,
+    solve_ladder,
     solve_regularized,
 )
-from exhom.grid import StructuredGrid, gradient_field
+from exhom.grid import CorrectorOperator, StructuredGrid, gradient_field
 
 rng = np.random.default_rng(3)
 
@@ -82,6 +82,21 @@ def test_extrapolate_fixed_point():
         assert np.allclose(richardson_combine([v] * k), v, atol=1e-12)
 
 
+def test_richardson_combine_runs_the_induction():
+    # phi_{T,2} = 2 phi_2T - phi_T, phi_{T,3} = (4 phi_{2T,2} - phi_{T,2}) / 3
+    v = rng.standard_normal((3, 7))
+    level2 = [2 * v[1] - v[0], 2 * v[2] - v[1]]
+    assert np.allclose(richardson_combine(v[:2]), level2[0], rtol=0.0, atol=1e-14)
+    assert np.allclose(richardson_combine(v), (4 * level2[1] - level2[0]) / 3, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, math.nan, -math.inf])
+def test_solve_ladder_rejects_nonpositive_T(T):
+    op = CorrectorOperator.from_field(StructuredGrid.square(1.0, 4), catalog("mat2"))
+    with pytest.raises(ValueError, match="T must be positive"):
+        solve_ladder(op, T, 1, np.eye(2))
+
+
 def test_richardson_weights_sum_to_one():
     for k in range(1, 6):
         w = richardson_weights(k)
@@ -142,7 +157,7 @@ def test_residual_identity_argument_validation():
     grid = StructuredGrid.square(4.0, 32)
     lad = corrector_ladder(grid, field, 0.5, 3, (1.0, 0.0))
     with pytest.raises(ValueError, match="consecutive"):
-        residual_identity_check(extrapolate_prefix(lad, 2), lad[2], field)
+        residual_identity_check(extrapolate(lad[:2]), lad[2], field)
 
 
 def test_psi_base_case_exact():

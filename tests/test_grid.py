@@ -10,6 +10,7 @@ from exhom.grid import (
     interpolate_gradient,
     mass_matrix,
     solve,
+    values_at_quad,
 )
 
 rng = np.random.default_rng(11)
@@ -168,6 +169,21 @@ def test_gradient_of_bilinear():
     grads = interpolate_gradient(u, pts[inside])
     assert np.allclose(grads[:, 0], pts[inside][:, 1], atol=1e-12)
     assert np.allclose(grads[:, 1], pts[inside][:, 0], atol=1e-12)
+
+
+def test_values_at_quad_of_bilinear():
+    # periodic dofs pin no node; the last cells, which wrap to the first nodes, are left out
+    g = StructuredGrid.from_box((0.0, 1.0, 0.0, 2.0), 4, 6)
+    xs, ys = g.node_coords()
+    X, Y = np.meshgrid(xs[:-1], ys[:-1], indexing="ij")
+    from exhom.grid import DofVector
+
+    u = DofVector((1.0 + 2.0 * X * Y).ravel(), g, "periodic")
+    pts = g.quad_points()
+    inside = (pts[:, 0] < 1.0 - g.hx) & (pts[:, 1] < 2.0 - g.hy)
+    vals = values_at_quad(u)
+    assert vals.shape == (pts.shape[0],)
+    assert np.allclose(vals[inside], 1.0 + 2.0 * pts[inside, 0] * pts[inside, 1], atol=1e-12)
 
 
 def test_periodic_singular_system_is_pinned():

@@ -167,3 +167,15 @@ def test_p1_function_evaluation():
     pts = np.array([[0.2, 0.3], [0.9, 0.1], [0.5, 0.75]])
     assert np.allclose(u(pts), pts[:, 0] + 2 * pts[:, 1], atol=1e-12)
     assert np.allclose(u.gradient_at(pts), np.array([[1.0, 2.0]] * 3), atol=1e-12)
+
+
+@pytest.mark.parametrize("extent, H", [((1.0, 0.45), 0.1), ((0.3, 1.7), 0.1), ((1.0, 1.0), 0.25)])
+def test_locate_on_rectangles(extent, H):
+    from exhom.hmm import P1Function
+
+    mesh = CoarseMesh.rectangle(*extent, H)
+    cents = mesh.centroids()
+    assert np.array_equal(mesh.locate(cents), np.arange(mesh.n_elements))
+    u = P1Function(mesh, mesh.vertices[:, 0] ** 2)
+    assert np.allclose(u.gradient_at(cents), u.element_gradients(), atol=1e-12)
+    assert np.allclose(u(cents), u.values[mesh.triangles].mean(axis=1), atol=1e-12)
