@@ -34,17 +34,35 @@ from .reference import laminate_oracle, periodic_cell
 from .study import fit_slope, write_csv, write_gnuplot
 
 
+def _positive(s, finite=True):
+    """A positive number, finite unless `finite` is false."""
+    try:
+        v = float(s)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive number, got {s!r}") from None
+    if not v > 0 or (finite and math.isinf(v)):
+        raise argparse.ArgumentTypeError(f"must be positive{' and finite' if finite else ''}, got {s!r}")
+    return v
+
+
 def _parse_T(s):
     """None for 'auto' (the subcommand's default policy), else a positive number or inf."""
-    if s == "auto":
-        return None
+    return None if s == "auto" else _positive(s, finite=False)
+
+
+def _parse_h(s):
+    """None for 'auto' (the subcommand's default policy), else a positive finite number."""
+    return None if s == "auto" else _positive(s)
+
+
+def _positive_int(s):
     try:
-        T = float(s)
+        v = int(s)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'auto', 'inf' or a positive number, got {s!r}") from None
-    if not T > 0:
-        raise argparse.ArgumentTypeError(f"T must be positive, got {s!r}")
-    return T
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {s!r}") from None
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {s!r}")
+    return v
 
 
 def _parse_xi(s):
@@ -129,8 +147,7 @@ def cmd_hmm(args):
     f_src = (lambda p: np.ones(p.shape[0])) if args.f == "const" else (
         lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
     )
-    h = None if args.h == "auto" else float(args.h)
-    res = hmm_solve(field, args.eps, args.H, f_src, delta=args.delta, T=args.T, k=args.k, h=h)
+    res = hmm_solve(field, args.eps, args.H, f_src, delta=args.delta, T=args.T, k=args.k, h=args.h)
     print(f"HMM: eps={args.eps} H={args.H} T={res.params['T']:g} k={args.k} "
           f"delta={args.delta} h={res.params['h']:g}")
     prov = res.tensor_map.provenance
@@ -164,9 +181,10 @@ def cmd_hmm(args):
 
 def cmd_study(args):
     R_list = [float(r) for r in args.rlist.split(",")] if args.rlist else None
+    kmax = args.kmax or 2
     if args.preset == "lattice":
         Rs = [int(r) for r in (R_list or [20, 40, 60, 80, 100])]
-        variants = [("naive", math.inf, 1), ("k1", None, 1), ("k2", None, 2)][: args.kmax + 1]
+        variants = [("naive", math.inf, 1)] + [(f"k{k}", None, k) for k in range(1, kmax + 1)]
         recs = study.sweep_lattice(Rs, variants=variants)
     elif args.preset == "mat2":
         Rs = R_list or [5, 10, 20]
@@ -174,7 +192,8 @@ def cmd_study(args):
         recs += study.sweep_periodic_tensor("mat2", Rs)
     elif args.preset in ("mat3", "mat5"):
         Rs = R_list or [5, 10, 20, 30]
-        recs = study.sweep_ap(args.preset, Rs, ks=list(range(1, args.kmax + 1)))
+        # the estimator compares each level with a higher reference level
+        recs = study.sweep_ap(args.preset, Rs, ks=list(range(1, kmax + 1)), kref=max(3, kmax + 1))
     elif args.preset == "mat4":
         Rs = R_list or [5, 10, 20]
         recs = study.sweep_periodic_tensor("mat4", Rs)
@@ -234,7 +253,7 @@ def main(argv=None):
     c.add_argument("--R", type=float, required=True)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--T", type=_parse_T, default="auto", help="'auto' (= R/100), 'inf', or a number")
-    c.add_argument("--k", type=int, default=1)
+    c.add_argument("--k", type=_positive_int, default=1)
     c.add_argument("--xi", type=_parse_xi, default="1,0", help="direction 'x1,x2' (normalized)")
     c.add_argument("--dual", action="store_true")
     c.add_argument("--window", type=float, default=None, help="inner window fraction for the error")
@@ -246,7 +265,7 @@ def main(argv=None):
     hcmd.add_argument("--R", type=float, required=True)
     hcmd.add_argument("--n", type=int, required=True)
     hcmd.add_argument("--T", type=_parse_T, default="auto", help="'auto' (= R/100), 'inf', or a number")
-    hcmd.add_argument("--k", type=int, default=1)
+    hcmd.add_argument("--k", type=_positive_int, default=1)
     hcmd.add_argument("--L", type=float, default=None)
     hcmd.add_argument("--p", default="3")
     hcmd.add_argument("--variant", choices=("prime", "projected"), default="projected")
@@ -261,20 +280,20 @@ def main(argv=None):
     lat = sub.add_parser("lattice", help="exact discrete warm-up pipeline")
     lat.add_argument("--R", type=int, default=40, help="box side in lattice units")
     lat.add_argument("--T", type=_parse_T, default="auto", help="'auto' (= R/10), 'inf', or a number")
-    lat.add_argument("--k", type=int, default=1)
+    lat.add_argument("--k", type=_positive_int, default=1)
     lat.add_argument("--p", default="inf")
     lat.add_argument("--pattern-file", default=None)
     lat.set_defaults(func=cmd_lattice)
 
     hm = sub.add_parser("hmm", help="coarse multiscale pipeline")
     hm.add_argument("--field", default="mat2")
-    hm.add_argument("--eps", type=float, default=1 / 16)
-    hm.add_argument("--H", type=float, default=0.25)
-    hm.add_argument("--delta", type=float, default=1.5)
+    hm.add_argument("--eps", type=_positive, default=1 / 16)
+    hm.add_argument("--H", type=_positive, default=0.25)
+    hm.add_argument("--delta", type=_positive, default=1.5)
     hm.add_argument("--T", type=_parse_T, default="auto", help="'auto' (= H/eps), 'inf', or a number")
-    hm.add_argument("--k", type=int, default=1)
-    hm.add_argument("--kprime", type=int, default=None)
-    hm.add_argument("--h", default="auto")
+    hm.add_argument("--k", type=_positive_int, default=1)
+    hm.add_argument("--kprime", type=_positive_int, default=None)
+    hm.add_argument("--h", type=_parse_h, default="auto", help="'auto' (= eps/8) or a number")
     hm.add_argument("--f", choices=("const", "sin"), default="const")
     hm.add_argument("--reference", action="store_true", help="also run the fine solve")
     hm.add_argument("--csv", default=None)
@@ -283,7 +302,8 @@ def main(argv=None):
     st = sub.add_parser("study", help="convergence sweeps with slope fits")
     st.add_argument("--preset", required=True,
                     choices=("lattice", "mat2", "mat3", "mat4", "mat5", "hmm"))
-    st.add_argument("--kmax", type=int, default=2)
+    st.add_argument("--kmax", type=_positive_int, default=None,
+                    help="highest extrapolation level of the lattice, mat3 and mat5 presets (default 2)")
     st.add_argument("--rlist", default=None, help="comma-separated R values")
     st.add_argument("--out", default=None)
     st.add_argument("--gnuplot-data", dest="gnuplot_data", default=None)
@@ -293,6 +313,8 @@ def main(argv=None):
     if getattr(args, "T", None) == math.inf and (args.k, getattr(args, "kprime", None) or 1) != (1, 1):
         flags = "--k and --kprime" if args.cmd == "hmm" else "--k"
         sub.choices[args.cmd].error(f"--T inf admits no extrapolation: {flags} must be 1")
+    if args.cmd == "study" and args.kmax is not None and args.preset in ("mat2", "mat4", "hmm"):
+        st.error(f"--kmax does not apply to the {args.preset} preset")
     return args.func(args) or 0
 
 

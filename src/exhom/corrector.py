@@ -95,7 +95,9 @@ def solve_ladder(
     rungs run in order; the directions of a rung share its hierarchy, and
     each warm-starts from its own previous rung.  T must be positive; T = inf
     (with kmax = 1) is the unregularized problem.  `dual` marks the solutions
-    as dual correctors (the caller passes the transpose operator).
+    as dual correctors (the caller passes the transpose operator).  On a
+    batched operator each solution stacks the batch's grids (its `grid` is
+    None) and `op.split` views it per grid.
     """
     if not T > 0:  # also rejects NaN
         raise ValueError(f"T must be positive, got {T!r}")

@@ -13,6 +13,16 @@ dofs, and holds the mass M and the loads -int grad(psi) . A e_i.  Every
 zero-order shift s = 1/T is then the system (K + s M) x = b, so a dyadic
 ladder in T re-assembles nothing.
 
+The assembly carries a leading batch axis: an operator is built for a
+batch of grids that share their cell counts (nx, ny) and bc, each with its
+own origin and spacing, and its K, M and loads are block-diagonal, one
+block per grid.  A single grid is a batch of one.  Many small problems of
+one shape (the HMM patches) then cost one field evaluation, one assembly,
+one hierarchy and one Krylov call instead of one of each per problem,
+whose fixed costs dominate problems of a few hundred dofs.  A batch holds
+about 0.8 KB per dof while it is assembled, so callers bound its size
+(`hmm.BATCH_DOFS`).
+
 `solve` is the one Krylov entry point: conjugate gradients for symmetric
 systems, BiCGStab otherwise, preconditioned by a geometric multigrid
 V-cycle.  The hierarchy halves the grid (bilinear prolongation P, wrapping
@@ -23,14 +33,16 @@ sum per level.  Each level smooths with damped Jacobi; the coarsest level
 is factorized when it has at most `DIRECT_DOFS` dofs and only smoothed
 otherwise (a large grid with an odd cell count), so no large grid is ever
 factorized whole.  A system without a hierarchy is a single level: a direct
-solve when small.
+solve when small.  A batch halves alike in every block, so its
+prolongations are I_B (x) P and every level stays block-diagonal.  The
+solve of a batched system is equilibrated, so each block meets the
+tolerance relative to its own right-hand side (see `solve`).
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -181,7 +193,9 @@ class SparseSystem:
     """Assembled linear system on the free dofs.
 
     `multigrid` is the preconditioner hierarchy; a system without one (or
-    without a grid) is solved as a single level.
+    without a grid) is solved as a single level.  A system of `blocks` > 1
+    is block-diagonal with equal blocks (a batch of grids, `grid` None),
+    and `solve` meets its tolerance on every block.
     """
 
     matrix: sp.csr_matrix
@@ -191,6 +205,7 @@ class SparseSystem:
     bc: str = "dirichlet0"
     pinned: bool = False  # periodic singular system with node 0 removed
     multigrid: Optional["Multigrid"] = dataclasses.field(default=None, repr=False)
+    blocks: int = 1
 
 
 @dataclass
@@ -234,49 +249,71 @@ def _n_free(nx: int, ny: int, bc: str) -> int:
     return nx * ny if bc == "periodic" else (nx - 1) * (ny - 1)
 
 
-def _physical_shape_gradients(grid: StructuredGrid) -> np.ndarray:
-    """(gauss point, local node, axis) gradients of the Q1 shape functions."""
-    scale = np.array([0.5 * grid.hx, 0.5 * grid.hy])
-    return np.stack([_shape_values(*gp)[1] / scale for gp in GAUSS_POINTS])
+def _batch(grids) -> tuple:
+    """A grid, or a sequence of grids sharing (nx, ny), as a tuple."""
+    grids = (grids,) if isinstance(grids, StructuredGrid) else tuple(grids)
+    if not grids:
+        raise ValueError("need at least one grid")
+    if any((g.nx, g.ny) != (grids[0].nx, grids[0].ny) for g in grids):
+        raise ValueError("the grids of a batch must share their cell counts (nx, ny)")
+    return grids
+
+
+def _quad_weights(grids) -> np.ndarray:
+    """(B,) weight of one Gauss point on each grid."""
+    return np.array([g.quad_weight() for g in grids])
+
+
+def _physical_shape_gradients(grids) -> np.ndarray:
+    """(grid, gauss point, local node, axis) gradients of the Q1 shape functions."""
+    dN = np.stack([_shape_values(*gp)[1] for gp in GAUSS_POINTS])
+    scale = 0.5 * np.array([(g.hx, g.hy) for g in grids])
+    return dN / scale[:, None, None, :]
 
 
 def _free_part(nodal: np.ndarray, bc: str) -> np.ndarray:
-    """Restrict an (nx+1, ny+1, ...) nodal array to the free dofs, flattened.
+    """Restrict a (B, nx+1, ny+1, ...) nodal array to the free dofs, flattened grid-major.
 
     Periodic grids first fold the last row and column onto the first.
     """
     if bc == "periodic":
-        nodal[0] += nodal[-1]
         nodal[:, 0] += nodal[:, -1]
-        free = nodal[:-1, :-1]
+        nodal[:, :, 0] += nodal[:, :, -1]
+        free = nodal[:, :-1, :-1]
     else:
-        free = nodal[1:-1, 1:-1]
-    return free.reshape(free.shape[0] * free.shape[1], *free.shape[2:])
+        free = nodal[:, 1:-1, 1:-1]
+    return free.reshape(-1, *free.shape[3:])
 
 
-def _cell_sum(grid: StructuredGrid, bc: str, cell_values: np.ndarray) -> np.ndarray:
-    """Sum per-cell, per-local-node values (ncells, 4) into the free dofs."""
-    cv = cell_values.reshape(grid.nx, grid.ny, 4)
-    nodal = np.zeros((grid.nx + 1, grid.ny + 1))
+def _cell_sum(grids, bc: str, cell_values: np.ndarray) -> np.ndarray:
+    """Sum per-cell, per-local-node values (B, ncells, 4) into the stacked free dofs."""
+    nx, ny = grids[0].nx, grids[0].ny
+    cv = cell_values.reshape(len(grids), nx, ny, 4)
+    nodal = np.zeros((len(grids), nx + 1, ny + 1))
     for l, (ax, ay) in enumerate(_NODE_OFFSETS):
-        nodal[ax : ax + grid.nx, ay : ay + grid.ny] += cv[:, :, l]
+        nodal[:, ax : ax + nx, ay : ay + ny] += cv[..., l]
     return _free_part(nodal, bc)
 
 
-def _stencil_matrix(grid: StructuredGrid, bc: str, local: np.ndarray) -> sp.csr_matrix:
-    """Sum cell matrices into a nine-point CSR matrix on the free dofs.
+def _stencil_matrix(grids, bc: str, local: np.ndarray) -> sp.csr_matrix:
+    """Sum cell matrices into a block-diagonal nine-point CSR matrix.
 
-    `local` holds one 4x4 matrix per cell (ncells * 16 values, cell-major),
-    or a single (4, 4) matrix shared by every cell.
+    One block per grid, on its free dofs.  `local` holds one 4x4 matrix per
+    cell of every grid (B * ncells * 16 values, grid- then cell-major), or
+    one (4, 4) matrix per grid shared by all of its cells, (B, 4, 4).
     Periodic matrices are unpinned; entries coupling to Dirichlet nodes are
     dropped, so only free-dof entries are ever stored.
     """
-    nx, ny = grid.nx, grid.ny
-    local = np.broadcast_to(local, (nx, ny, 4, 4)) if local.shape == (4, 4) else local.reshape(nx, ny, 4, 4)
-    stencil = np.zeros((nx + 1, ny + 1, 3, 3))  # node, neighbour offset (dx + 1, dy + 1)
+    B, nx, ny = len(grids), grids[0].nx, grids[0].ny
+    shape = (B, nx, ny, 4, 4)
+    if local.size == 16 * B:
+        local = np.broadcast_to(local.reshape(B, 1, 1, 4, 4), shape)
+    else:
+        local = local.reshape(shape)
+    stencil = np.zeros((B, nx + 1, ny + 1, 3, 3))  # grid, node, neighbour offset (dx + 1, dy + 1)
     for l, (ax, ay) in enumerate(_NODE_OFFSETS):
         for m, (bx, by) in enumerate(_NODE_OFFSETS):
-            stencil[ax : ax + nx, ay : ay + ny, bx - ax + 1, by - ay + 1] += local[:, :, l, m]
+            stencil[:, ax : ax + nx, ay : ay + ny, bx - ax + 1, by - ay + 1] += local[..., l, m]
     data = _free_part(stencil, bc).reshape(-1, 9)
     d = np.arange(-1, 2)
     if bc == "periodic":
@@ -289,37 +326,41 @@ def _stencil_matrix(grid: StructuredGrid, bc: str, local: np.ndarray) -> sp.csr_
         j = np.arange(1, ny)[None, :, None, None] + d
         cols = (i - 1) * (ny - 1) + (j - 1)
         valid = (i >= 1) & (i <= nx - 1) & (j >= 1) & (j <= ny - 1)
+    n = _n_free(nx, ny, bc)
+    if B > 1:  # block b's columns are offset by b * n
+        cols = cols.reshape(1, n, 9) + n * np.arange(B)[:, None, None]
+        valid = np.broadcast_to(valid.reshape(1, n, 9), (B, n, 9))
     valid = valid.reshape(-1, 9)
-    indptr = np.zeros(valid.shape[0] + 1, dtype=np.int32)
+    indptr = np.zeros(B * n + 1, dtype=np.int32)
     np.cumsum(valid.sum(axis=1), out=indptr[1:])
-    n = valid.shape[0]
     mat = sp.csr_matrix(
-        (data[valid], cols.reshape(-1, 9)[valid].astype(np.int32), indptr), shape=(n, n)
+        (data[valid], cols.reshape(-1, 9)[valid].astype(np.int32), indptr), shape=(B * n, B * n)
     )
     if bc == "periodic":
         mat.sum_duplicates()  # sorts the wrapped columns; merges them on 2-cell axes
     return mat
 
 
-def _mass_local(grid: StructuredGrid) -> np.ndarray:
-    w = grid.quad_weight()
+def _mass_local(grids) -> np.ndarray:
+    """(B, 4, 4) cell mass matrix of each grid."""
+    w = _quad_weights(grids)[:, None, None]
     return sum(w * np.outer(N, N) for N in (_shape_values(*gp)[0] for gp in GAUSS_POINTS))
 
 
-def _q1_stiffness(grid: StructuredGrid, bc: str, A_q: np.ndarray) -> sp.csr_matrix:
-    """K from A at the quadrature points, (ncells, 4, 2, 2)."""
-    D = _physical_shape_gradients(grid)  # (g, i, a)
-    # K_loc[c, i, j] = w sum_g dN_g[i] . A_g dN_g[j]: one matmul over (g, a, b)
-    basis = grid.quad_weight() * np.einsum("gia,gjb->gabij", D, D).reshape(16, 16)
-    return _stencil_matrix(grid, bc, A_q.reshape(-1, 16) @ basis)
+def _q1_stiffness(grids, bc: str, A_q: np.ndarray) -> sp.csr_matrix:
+    """Block-diagonal K from A at the quadrature points, (B * ncells, 4, 2, 2)."""
+    D = _physical_shape_gradients(grids)  # (z, g, i, a)
+    # K_loc[z, c, i, j] = w_z sum_g dN_g[i] . A_g dN_g[j]: one matmul per grid over (g, a, b)
+    basis = _quad_weights(grids)[:, None, None] * np.einsum("zgia,zgjb->zgabij", D, D).reshape(-1, 16, 16)
+    return _stencil_matrix(grids, bc, A_q.reshape(len(grids), -1, 16) @ basis)
 
 
-def _q1_loads(grid: StructuredGrid, bc: str, A_q: np.ndarray) -> np.ndarray:
-    """(2, nfree) loads -int grad(psi) . A e_x for x = 1, 2."""
-    D = _physical_shape_gradients(grid)
-    basis = -grid.quad_weight() * np.einsum("gia,bx->gabxi", D, np.eye(2)).reshape(16, 8)
-    cell_loads = (A_q.reshape(-1, 16) @ basis).reshape(-1, 2, 4)
-    return np.stack([_cell_sum(grid, bc, cell_loads[:, x]) for x in range(2)])
+def _q1_loads(grids, bc: str, A_q: np.ndarray) -> np.ndarray:
+    """(2, B * nfree) stacked loads -int grad(psi) . A e_x for x = 1, 2."""
+    D = _physical_shape_gradients(grids)
+    basis = -_quad_weights(grids)[:, None, None] * np.einsum("zgia,bx->zgabxi", D, np.eye(2)).reshape(-1, 16, 8)
+    cell_loads = (A_q.reshape(len(grids), -1, 16) @ basis).reshape(len(grids), -1, 2, 4)
+    return np.stack([_cell_sum(grids, bc, cell_loads[:, :, x]) for x in range(2)])
 
 
 # ----------------------------------------------------------------------------
@@ -339,12 +380,17 @@ def _prolongation_1d(n: int, bc: str) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, nc + 1))[1:n, 1:nc]
 
 
-def _prolongations(grid: StructuredGrid, bc: str) -> list:
-    """Prolongations of the grid's halving hierarchy, finest first."""
+def _prolongations(grids, bc: str) -> list:
+    """Prolongations of the grids' halving hierarchy, finest first.
+
+    Every grid of a batch halves alike, so a batch of B grids prolongs by
+    I_B (x) P, and its levels stay block-diagonal.
+    """
     out = []
-    nx, ny = grid.nx, grid.ny
+    nx, ny = grids[0].nx, grids[0].ny
     while nx % 2 == 0 and ny % 2 == 0 and min(nx, ny) >= 4 and _n_free(nx, ny, bc) > COARSE_DOFS:
-        out.append(sp.kron(_prolongation_1d(nx, bc), _prolongation_1d(ny, bc), format="csr"))
+        P = sp.kron(_prolongation_1d(nx, bc), _prolongation_1d(ny, bc), format="csr")
+        out.append(P if len(grids) == 1 else sp.kron(sp.identity(len(grids)), P, format="csr"))
         nx, ny = nx // 2, ny // 2
     return out
 
@@ -412,34 +458,44 @@ class Multigrid:
 
 
 class CorrectorOperator:
-    """K + s M on the free dofs of one (grid, bc), for any shift s >= 0.
+    """K + s M on the free dofs of a batch of grids under one bc, for any shift s >= 0.
+
+    The grids of a batch share their cell counts (nx, ny) but each keeps its
+    own origin and spacing.  Their dofs are stacked grid after grid, so K,
+    M and every coarse level are block-diagonal with one block per grid,
+    and one hierarchy, one bottom factorization and one Krylov call serve
+    them all.  A single grid is a batch of one; `grid` is that grid, and
+    None on larger batches (`split` views a stacked vector per grid).
 
     Holds the stiffness K, the mass M, the loads b_i for xi = e_i (rhs for
-    any xi is xi . b), the grid's prolongations and, once a system is
-    requested, the Galerkin coarse K and M.  `A_q` is the coefficient at the
-    quadrature points, (ncells, 4, 2, 2), when the operator was built from
-    a field.  The operator keeps no shifted matrices: each call of
+    any xi is xi . b), the prolongations and, once a system is requested,
+    the Galerkin coarse K and M.  `A_q` is the coefficient at the
+    quadrature points, (B * ncells, 4, 2, 2), when the operator was built
+    from a field.  The operator keeps no shifted matrices: each call of
     `systems` builds one shift's hierarchy, shared by the systems it
     returns.
     """
 
-    def __init__(self, grid, bc, stiffness, mass, loads, symmetric, A_q=None):
+    def __init__(self, grids, bc, stiffness, mass, loads, symmetric, A_q=None):
         _check_bc(bc)
-        self.grid, self.bc = grid, bc
+        self.grids, self.bc = _batch(grids), bc
+        self.grid = self.grids[0] if len(self.grids) == 1 else None
         self.K, self.M = stiffness, mass
         self.loads = loads
         self.symmetric = bool(symmetric)
         self.A_q = A_q
-        self.prolongations = _prolongations(grid, bc)
+        self.prolongations = _prolongations(self.grids, bc)
         self._coarse = None  # Galerkin (K levels, M levels) below the finest
 
     @classmethod
-    def from_field(cls, grid: StructuredGrid, field: CoefficientField, bc: str = "dirichlet0"):
-        """Evaluate `field` once at the grid's Gauss points and assemble."""
-        A_q = field(grid.quad_points()).reshape(grid.nx * grid.ny, 4, 2, 2)
-        K = _q1_stiffness(grid, bc, A_q)
-        M = _stencil_matrix(grid, bc, _mass_local(grid))
-        return cls(grid, bc, K, M, _q1_loads(grid, bc, A_q), field.is_symmetric, A_q=A_q)
+    def from_field(cls, grids, field: CoefficientField, bc: str = "dirichlet0"):
+        """Evaluate `field` once at the Gauss points of a grid or a batch, and assemble."""
+        grids = _batch(grids)
+        points = grids[0].quad_points() if len(grids) == 1 else np.concatenate([g.quad_points() for g in grids])
+        A_q = field(points).reshape(-1, 4, 2, 2)
+        K = _q1_stiffness(grids, bc, A_q)
+        M = _stencil_matrix(grids, bc, _mass_local(grids))
+        return cls(grids, bc, K, M, _q1_loads(grids, bc, A_q), field.is_symmetric, A_q=A_q)
 
     def transpose(self) -> "CorrectorOperator":
         """The operator of the transpose field A^T (dual correctors).
@@ -451,10 +507,14 @@ class CorrectorOperator:
         t = copy.copy(self)
         t.A_q = np.swapaxes(self.A_q, -1, -2)
         t.K = self.K.T.tocsr()
-        t.loads = _q1_loads(self.grid, self.bc, t.A_q)
+        t.loads = _q1_loads(self.grids, self.bc, t.A_q)
         if self._coarse is not None:
             t._coarse = [[Kc.T.tocsr() for Kc in self._coarse[0]], self._coarse[1]]
         return t
+
+    def split(self, values: np.ndarray) -> list:
+        """One DofVector per grid, each a view into the stacked `values`."""
+        return [DofVector(v, g, self.bc) for g, v in zip(self.grids, values.reshape(len(self.grids), -1))]
 
     def rhs(self, xi) -> np.ndarray:
         """-int grad(psi) . A xi on the free dofs (unpinned)."""
@@ -474,6 +534,8 @@ class CorrectorOperator:
         if inv_T < 0:
             raise ValueError("inv_T must be nonnegative")
         pinned = self.bc == "periodic" and inv_T == 0.0
+        if pinned and self.grid is None:
+            raise ValueError("a batch of periodic grids needs a positive shift (no pinning)")
         if self._coarse is None:
             self._coarse = [_galerkin(A, self.prolongations)[1:] for A in (self.K, self.M)]
         coarse = [_shifted(Kc, Mc, inv_T) for Kc, Mc in zip(*self._coarse)]
@@ -486,7 +548,7 @@ class CorrectorOperator:
         return [
             SparseSystem(
                 matrix=levels[0], rhs=b[1:] if pinned else b, symmetric=self.symmetric,
-                grid=self.grid, bc=self.bc, pinned=pinned, multigrid=mg,
+                grid=self.grid, bc=self.bc, pinned=pinned, multigrid=mg, blocks=len(self.grids),
             )
             for b in rhs_list
         ]
@@ -517,14 +579,14 @@ def assemble(
     if source is not None:
         fvals = np.asarray(source(grid.quad_points()), dtype=float).reshape(-1, 4)
         N = np.stack([_shape_values(*gp)[0] for gp in GAUSS_POINTS])  # (g, i)
-        rhs = rhs + _cell_sum(grid, bc, grid.quad_weight() * fvals @ N)
+        rhs = rhs + _cell_sum((grid,), bc, grid.quad_weight() * fvals @ N)
     return op.system(inv_T, rhs)
 
 
 def mass_matrix(grid: StructuredGrid, bc: str = "dirichlet0", pinned: bool = False) -> sp.csr_matrix:
     """Q1 consistent mass matrix on the free dofs (2x2 Gauss, exact)."""
     _check_bc(bc)
-    M = _stencil_matrix(grid, bc, _mass_local(grid))
+    M = _stencil_matrix((grid,), bc, _mass_local((grid,)))
     return _pin(M) if bc == "periodic" and pinned else M
 
 
@@ -539,38 +601,64 @@ def solve(
     CG when the system is flagged symmetric, BiCGStab otherwise, both
     preconditioned by the system's multigrid V-cycle (one level when it has
     none).  A zero right-hand side short-circuits to the zero vector.
-    Raises SolverError carrying the achieved relative residual on
-    non-convergence.
+
+    A system of several blocks is solved equilibrated: each block's
+    right-hand side and warm start are scaled to unit norm (the blocks do
+    not couple, so this scales each block's solution alike), and one Krylov
+    call runs to absolute residual rel_tol.  Every block then meets
+    ||r_i|| <= rel_tol ||b_i||, so loads of very different size are all
+    solved to the same relative accuracy, and the stacked system meets
+    rel_tol too.  A block with a zero right-hand side returns zero.
+
+    Raises SolverError carrying the achieved relative residual (of the
+    worst block) on non-convergence.
     """
     if not (0.0 < rel_tol <= 1e-4):
         raise ValueError("rel_tol must lie in (0, 1e-4]")
-    b = system.rhs
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
+    b, blocks = system.rhs, system.blocks
+    bnorms = np.linalg.norm(b.reshape(blocks, -1), axis=1)
+    if not bnorms.any():
         return DofVector(np.zeros_like(b), system.grid, system.bc, system.pinned)
     A = system.matrix
     mg = system.multigrid if system.multigrid is not None else Multigrid([A])
     M = spla.LinearOperator(A.shape, matvec=mg, dtype=float)
     krylov = spla.cg if system.symmetric else spla.bicgstab
-    x = x0
-    res = math.inf
+    x, ref = x0, bnorms  # ref: the block norms of the right-hand side solved for
+    if blocks == 1:
+        tol = dict(rtol=rel_tol, atol=0.0)
+    else:
+        scale = np.divide(1.0, bnorms, out=np.zeros_like(bnorms), where=bnorms > 0)
+        b = _blockwise(b, scale)
+        x = None if x0 is None else _blockwise(x0, scale)
+        tol = dict(rtol=0.0, atol=rel_tol)
+        ref = (bnorms > 0).astype(float)
     # scipy tracks a recursively updated residual that can drift a little
     # from the true one; restart from the current iterate until the true
-    # relative residual meets the contract
+    # relative residual of every block meets the contract
     for attempt in range(4):
-        kw = dict(rtol=rel_tol, atol=0.0, maxiter=max_iter, M=M)
+        kw = dict(tol, maxiter=max_iter, M=M)
         if x is not None:
             kw["x0"] = x
         x, info = krylov(A, b, **kw)
-        res = float(np.linalg.norm(b - A @ x)) / bnorm
-        if res <= rel_tol:
+        rnorms = np.linalg.norm((b - A @ x).reshape(blocks, -1), axis=1)
+        res = np.divide(rnorms, ref, out=np.zeros_like(rnorms), where=ref > 0)
+        if res.max() <= rel_tol:
+            if blocks > 1:
+                x = _blockwise(x, bnorms)
             return DofVector(x, system.grid, system.bc, system.pinned)
         if info != 0:
             break
+    worst = int(np.argmax(res))
+    where = f" on block {worst} of {blocks}" if blocks > 1 else ""
     raise SolverError(
-        f"Krylov solver did not reach rel_tol={rel_tol:g} (achieved {res:.3e})",
-        residual=res,
+        f"Krylov solver did not reach rel_tol={rel_tol:g}{where} (achieved {res[worst]:.3e})",
+        residual=float(res[worst]),
     )
+
+
+def _blockwise(v: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Block i of the stacked `v` times scale[i]."""
+    return (v.reshape(scale.size, -1) * scale[:, None]).ravel()
 
 
 def _cell_corners(u: DofVector) -> np.ndarray:

@@ -5,7 +5,12 @@ Pipeline, per coarse P1 triangle on a rectangular domain D:
 1. solve local correctors on an oversampled axis-aligned patch around the
    element centroid (half-width delta*H/2, clipped to D) with zero-order
    coefficient (T eps^2)^{-1}, for xi = e1, e2 (plus duals when the field is
-   non-symmetric), Richardson-extrapolated over the dyadic T ladder;
+   non-symmetric), Richardson-extrapolated over the dyadic T ladder.
+   Patches with the same cell counts (nx, ny) are solved together: each
+   chunk of at most `BATCH_DOFS` free dofs is one batched operator (one
+   field evaluation, one block-diagonal assembly, one hierarchy and one
+   Krylov call per rung and direction), with each patch keeping its own
+   clipped spacing;
 2. form the projected filtered tensor over the inner window of half-width
    H/2 with clipped-mass normalization, giving a piecewise-constant
    effective coefficient (elements whose patch exits D copy the tensor of
@@ -24,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .averaging import Filter, _tensor_from_gradients, build_filter, solve_corrector_bundle
+from .averaging import Filter, _tensor_from_gradients, build_filter
 from .coeffs import CoefficientField
 from .corrector import extrapolate, solve_ladder
 from .grid import (
@@ -53,6 +58,20 @@ __all__ = [
     "fine_reference",
     "h1_distance",
 ]
+
+
+#: Most free dofs solved in one batch of same-shape patches.  Batching cuts
+#: the per-call overhead of assembly, hierarchy, bottom factorization and
+#: Krylov calls, which dominates patches of about 500 dofs; but a batch's
+#: assembly holds about 0.8 KB per dof while it runs and its operator about
+#: 0.4 KB per dof after, so an unbounded batch costs memory.  Measured on
+#: the 128-element mat2 mesh at H = 1/8, h = 1/128 (72 interior patches
+#: of 529 dofs, 200 patch ladders in all), median repetition and peak RSS,
+#: against 1.8-2.1 s and 71.5 MB unbatched: 2048 dofs 1.17-1.29 s and
+#: 74.6 MB, 4096 0.93-1.02 s and 78.5-79.2 MB, 8192 0.79 s and 85.6-85.9 MB,
+#: 16384 0.77-0.79 s and 92.1-92.3 MB, unbounded 0.70-0.75 s and
+#: 105.6-107.7 MB.  8192 is where the time stops falling.
+BATCH_DOFS = 8192
 
 
 def scaled_field(field: CoefficientField, eps: float) -> CoefficientField:
@@ -245,12 +264,49 @@ def local_tensor(
     H/2 centered at the element centroid, clipped-mass normalized.
     """
     grid = _patch_grid(centroid, 0.5 * delta * H, extent, h)
-    bundle = solve_corrector_bundle(field_eps, grid, T * eps * eps, k, rel_tol=rel_tol)
-    gp, gd = bundle.gradients_at_quad()
-    mat, _, _, _ = _tensor_from_gradients(
-        grid, bundle.A_q, gp, gd, filt, 0.5 * H, project=True, center=tuple(centroid)
-    )
-    return mat
+    return _patch_tensors([grid], [centroid], field_eps, T * eps * eps, k, H, filt, rel_tol)[0]
+
+
+def _batches(grids, field_eps: CoefficientField):
+    """(patch indices, batched operator) per chunk of at most BATCH_DOFS free dofs.
+
+    Patches are grouped by their cell counts (nx, ny), then each group is cut
+    into chunks.
+    """
+    groups = {}
+    for i, g in enumerate(grids):
+        groups.setdefault((g.nx, g.ny), []).append(i)
+    for (nx, ny), idx in groups.items():
+        size = max(1, BATCH_DOFS // ((nx - 1) * (ny - 1)))
+        for s in range(0, len(idx), size):
+            chunk = idx[s : s + size]
+            yield chunk, CorrectorOperator.from_field([grids[i] for i in chunk], field_eps)
+
+
+def _extrapolated(op: CorrectorOperator, T: float, k: int, rel_tol: float, dual: bool = False) -> list:
+    """Level-k correctors for xi = e1, e2: per direction, one DofVector per grid of `op`."""
+    ladders = solve_ladder(op, T, k, np.eye(2), dual=dual, rel_tol=rel_tol)
+    return [op.split(extrapolate(lad).u.values) for lad in ladders]
+
+
+def _patch_tensors(grids, centers, field_eps, T, k, H, filt, rel_tol) -> np.ndarray:
+    """(len(grids), 2, 2) projected filtered tensors of the patch problems.
+
+    The zero-order coefficient is 1/T; each tensor averages over the window
+    of half-width H/2 around its center, clipped-mass normalized.
+    """
+    out = np.empty((len(grids), 2, 2))
+    for chunk, op in _batches(grids, field_eps):
+        primal = _extrapolated(op, T, k, rel_tol)
+        dual = primal if op.symmetric else _extrapolated(op.transpose(), T, k, rel_tol, dual=True)
+        A_q = op.A_q.reshape(len(chunk), -1, 4, 2, 2)
+        for b, i in enumerate(chunk):
+            gp = [gradient_field(u[b]) for u in primal]
+            gd = gp if dual is primal else [gradient_field(u[b]) for u in dual]
+            out[i] = _tensor_from_gradients(
+                grids[i], A_q[b], gp, gd, filt, 0.5 * H, project=True, center=tuple(centers[i])
+            )[0]
+    return out
 
 
 def build_tensor_map(
@@ -285,11 +341,10 @@ def build_tensor_map(
     provenance = ["computed"] * nt
     donors = np.arange(nt)
     compute_set = np.where(inside)[0] if np.any(inside) else np.arange(nt)
-    for e in compute_set:
-        tensors[e] = local_tensor(
-            cents[e], field_eps, eps, mesh.H, T, k, delta, h, filt,
-            extent=mesh.extent, rel_tol=rel_tol,
-        )
+    grids = [_patch_grid(cents[e], half, mesh.extent, h) for e in compute_set]
+    tensors[compute_set] = _patch_tensors(
+        grids, cents[compute_set], field_eps, T * eps * eps, k, mesh.H, filt, rel_tol
+    )
     if np.any(inside):
         interior = np.where(inside)[0]
         for e in np.where(~inside)[0]:
@@ -373,16 +428,16 @@ def numerical_corrector(
 
     with M_i the element average of the coarse gradient; by linearity the
     e1/e2 direction solves are combined with the components of M_i.
+    Patches of equal shape are solved in batches, as in `build_tensor_map`;
+    each gamma is a view into its batch's stacked solution.
     """
     M = u_coarse.element_gradients()
-    cents = mesh.centroids()
-    gammas, grids = [], []
-    for e in range(mesh.n_elements):
-        grid = _patch_grid(cents[e], 0.5 * delta * mesh.H, mesh.extent, h)
-        op = CorrectorOperator.from_field(grid, field_eps)
-        ladders = solve_ladder(op, T * eps * eps, kprime, np.eye(2), rel_tol=rel_tol)
-        gammas.append([extrapolate(lad).u for lad in ladders])
-        grids.append(grid)
+    grids = [_patch_grid(c, 0.5 * delta * mesh.H, mesh.extent, h) for c in mesh.centroids()]
+    gammas = [None] * len(grids)
+    for chunk, op in _batches(grids, field_eps):
+        e1, e2 = _extrapolated(op, T * eps * eps, kprime, rel_tol)
+        for b, i in enumerate(chunk):
+            gammas[i] = [e1[b], e2[b]]
     return NumericalCorrectorSet(gammas=gammas, grids=grids, M=M, kprime=kprime)
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .coeffs import CoefficientField
 from .grid import CorrectorOperator, DofVector, StructuredGrid, interpolate_gradient, solve
@@ -107,6 +106,10 @@ def laminate_oracle(profile, rel_tol: float = 1e-12) -> np.ndarray:
     Independent oracle for laminate fields diag(a(x1), a(x1)): the exact
     homogenized tensor is diag(1/<1/a>, <a>) with <.> the period average.
     """
+    # imported here: scipy.integrate adds about 20 MB and tenths of a second
+    # to every `import exhom`, and only this oracle needs it
+    from scipy.integrate import quad
+
     samples = np.asarray(profile(np.linspace(0.0, 1.0, 4096, endpoint=False)), dtype=float)
     if np.any(samples <= 0.0):
         bad = np.argmax(samples <= 0.0)

@@ -67,6 +67,16 @@ def test_kappa_hand_values():
     assert build_filter(2).kappa == pytest.approx(40.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("p, kappa", [(1, 9 / 2), (2, 81 / 2), (3, 1215 / 11), (4, 567 / 2)])
+def test_kappa_exact_values(p, kappa):
+    # the polynomial profiles integrate to rationals; Gauss-Legendre is exact on each piece
+    assert build_filter(p).kappa == pytest.approx(kappa, rel=1e-14, abs=0.0)
+
+
+def test_kappa_inf_value():
+    assert build_filter("inf").kappa == pytest.approx(8.933599663356328e16, rel=1e-13, abs=0.0)
+
+
 def test_profile2_midpoint_value():
     # mu^2(t = 1/2) = kappa_2 / 6 on the [0, 1] reference profile
     f = build_filter(2)

@@ -99,3 +99,59 @@ def test_study_command_writes_csv(capsys, tmp_path):
     assert "9 records written" in capsys.readouterr().out
     header, *rows = out.read_text().splitlines()
     assert header.startswith("field,variant,T,k,R") and len(rows) == 9
+
+
+@pytest.mark.parametrize("flag", ["--eps", "--H", "--delta", "--h"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "soon"])
+def test_hmm_lengths_must_be_positive_and_finite(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["hmm", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", [
+    ["corrector", "--field", "mat2", "--R", "1", "--n", "8", "--k"],
+    ["homogenize", "--field", "mat2", "--R", "1", "--n", "8", "--k"],
+    ["lattice", "--R", "16", "--k"],
+    ["hmm", "--k"],
+    ["hmm", "--kprime"],
+])
+@pytest.mark.parametrize("k", ["0", "-1", "1.5"])
+def test_extrapolation_levels_must_be_positive_integers(capsys, cmd, k):
+    with pytest.raises(SystemExit) as exc:
+        main([*cmd, k])
+    assert exc.value.code == 2
+    assert cmd[-1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("preset", ["mat2", "mat4", "hmm"])
+def test_study_rejects_kmax_where_it_does_not_apply(capsys, preset):
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "--preset", preset, "--kmax", "2"])
+    assert exc.value.code == 2
+    assert "--kmax does not apply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kmax", ["0", "-1", "two"])
+def test_study_kmax_must_be_a_positive_integer(capsys, kmax):
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "--preset", "lattice", "--kmax", kmax])
+    assert exc.value.code == 2
+    assert "--kmax" in capsys.readouterr().err
+
+
+def test_study_lattice_runs_every_level_up_to_kmax(tmp_path):
+    out = tmp_path / "lattice.csv"
+    assert main(["study", "--preset", "lattice", "--rlist", "3", "--kmax", "3", "--out", str(out)]) == 0
+    variants = [row.split(",")[1] for row in out.read_text().splitlines()[1:]]
+    assert sorted(variants) == ["k1", "k2", "k3", "naive"]
+
+
+def test_study_ap_preset_raises_its_reference_level_with_kmax(tmp_path):
+    # the estimator compares level k with a higher reference level; kmax = 3
+    # used to fail at k = 3 after solving the lower levels
+    out = tmp_path / "mat3.csv"
+    assert main(["study", "--preset", "mat3", "--rlist", "1", "--kmax", "3", "--out", str(out)]) == 0
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    assert sorted({r[1] for r in rows if r[1].endswith("-tensor")}) == ["k1-tensor", "k2-tensor", "k3-tensor"]

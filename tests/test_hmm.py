@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import exhom.hmm
 from exhom.averaging import build_filter
 from exhom.coeffs import catalog, constant
 from exhom.hmm import (
@@ -108,6 +109,43 @@ def test_tensor_map_provenance_and_donors():
         d = tmap.donors[e]
         assert prov[d] == "computed"  # single hop
         assert np.linalg.norm(cents[d] - cents[e]) <= 2 * mesh.H
+
+
+def test_tensor_map_across_chunk_boundaries_matches_local_tensors(monkeypatch):
+    # the 8 interior patches share one shape (24 x 24 cells, 529 dofs);
+    # chunks of 3 patches put them in three batched solves
+    field_eps = scaled_field(catalog("mat4"), 1 / 16)  # non-symmetric: duals batched too
+    mesh = CoarseMesh.unit_square(0.25)
+    filt = build_filter(3)
+    monkeypatch.setattr(exhom.hmm, "BATCH_DOFS", 3 * 529)
+    args = dict(T=4.0, k=2, delta=1.5, h=1 / 64, filt=filt, rel_tol=1e-10)
+    tmap = build_tensor_map(mesh, field_eps, 1 / 16, **args)
+    computed = [e for e, p in enumerate(tmap.provenance) if p == "computed"]
+    assert len(computed) == 8
+    for e in computed:
+        ref = local_tensor(mesh.centroids()[e], field_eps, 1 / 16, mesh.H, extent=mesh.extent, **args)
+        assert np.abs(tmap.tensors[e] - ref).max() <= 1e-7 * np.abs(ref).max()
+
+
+def test_numerical_corrector_batches_match_single_patches(monkeypatch):
+    # at H = 1/2 the 8 clipped patches come in 4 shapes of 2
+    field_eps = scaled_field(catalog("mat2"), 1 / 8)
+    mesh = CoarseMesh.unit_square(0.5)
+    u = coarse_solve(mesh, 4.0 * np.eye(2), F_ONE)
+    args = (mesh, u, field_eps, 1 / 8, 4.0, 2, 1.5, 1 / 32)
+    batched = numerical_corrector(*args, rel_tol=1e-10)
+    monkeypatch.setattr(exhom.hmm, "BATCH_DOFS", 1)
+    single = numerical_corrector(*args, rel_tol=1e-10)
+    assert len({(g.nx, g.ny) for g in batched.grids}) == 4
+    for e in range(mesh.n_elements):
+        for got, ref in zip(batched.gammas[e], single.gammas[e], strict=True):
+            assert got.grid == ref.grid == batched.grids[e]
+            assert np.linalg.norm(got.values - ref.values) <= 1e-7 * np.linalg.norm(ref.values)
+    # patches of one shape share a batch: their gammas view one stacked solution
+    shape = lambda g: (g.nx, g.ny)
+    same = [e for e in range(mesh.n_elements) if shape(batched.grids[e]) == shape(batched.grids[0])]
+    bases = {id(batched.gammas[e][0].values.base) for e in same}
+    assert len(same) == 2 and len(bases) == 1 and batched.gammas[0][0].values.base is not None
 
 
 def test_tensor_map_fallback_when_no_interior():

@@ -5,6 +5,9 @@ No linter ships with the project, so this is its guard against dead imports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,3 +38,12 @@ def test_checker_flags_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_import_leaves_out_scipy_integrate():
+    # scipy.integrate pulls in scipy.special and scipy.optimize: about 20 MB
+    # and tenths of a second on every import; only laminate_oracle needs it
+    code = "import sys, exhom; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "False"

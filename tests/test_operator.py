@@ -21,6 +21,7 @@ from exhom.grid import (
     DIRECT_DOFS,
     CorrectorOperator,
     DofVector,
+    SolverError,
     SparseSystem,
     StructuredGrid,
     assemble,
@@ -118,6 +119,85 @@ def test_operator_matches_cellwise_assembly(nx, ny, bc, inv_T, name):
         dual_system = dual.system(inv_T, dual.rhs(xi))
         assert abs(dual_system.matrix - K_t).max() <= 1e-13 * scale
         assert np.abs(dual_system.rhs - b_t).max() <= 1e-13 * np.abs(b_t).max()
+
+
+def _batch_of_patches(nx=12, ny=8):
+    """Grids with equal cell counts and different spacings, like clipped HMM patches."""
+    boxes = ((0.0, 0.37, 0.1, 0.4), (0.21, 0.6, 0.0, 0.29), (0.5, 0.83, 0.3, 0.62))
+    return [StructuredGrid.from_box(b, nx, ny) for b in boxes]
+
+
+@pytest.mark.parametrize("bc, shifts", [("dirichlet0", (0.0, 2.5)), ("periodic", (0.7,))])
+def test_batch_blocks_match_cellwise_assembly(bc, shifts):
+    field = catalog("mat4")
+    grids = _batch_of_patches()
+    batch = CorrectorOperator.from_field(grids, field, bc)
+    n = batch.K.shape[0] // len(grids)
+    xi = np.array([0.6, -0.8])
+    assert batch.grid is None and len(batch.grids) == 3
+    for inv_T in shifts:
+        A = batch.matrix(inv_T)
+        nnz = 0
+        for b, g in enumerate(grids):
+            K_ref, b_ref = _reference_system(g, field, inv_T, xi, bc)
+            blk = slice(b * n, (b + 1) * n)
+            nnz += A[blk, blk].nnz
+            assert abs(A[blk, blk] - K_ref).max() <= 1e-13 * abs(K_ref).max()
+            assert np.abs(batch.rhs(xi)[blk] - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
+            K_t, b_t = _reference_system(g, field.transpose(), inv_T, xi, bc)
+            assert abs(batch.transpose().matrix(inv_T)[blk, blk] - K_t).max() <= 1e-13 * abs(K_t).max()
+            # a batch of one is the one-grid operator
+            one = CorrectorOperator.from_field([g], field, bc)
+            assert one.grid is g
+            assert abs(one.matrix(inv_T) - K_ref).max() <= 1e-13 * abs(K_ref).max()
+            assert np.abs(one.rhs(xi) - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
+        assert A.nnz == nnz  # block-diagonal
+    # each level of the hierarchy prolongs block by block
+    one = CorrectorOperator.from_field(grids[0], field, bc)
+    for P, P1 in zip(batch.prolongations, one.prolongations, strict=True):
+        assert abs(P - sp.block_diag([P1] * 3)).max() == 0.0
+    if bc == "periodic":
+        with pytest.raises(ValueError, match="positive shift"):
+            batch.system(0.0, batch.rhs(xi))
+
+
+def test_batch_rejects_grids_of_different_shape():
+    grids = [StructuredGrid.square(1.0, 8), StructuredGrid.square(1.0, 10)]
+    with pytest.raises(ValueError, match="cell counts"):
+        CorrectorOperator.from_field(grids, catalog("mat2"))
+
+
+@pytest.mark.parametrize("name", ["mat2", "mat4"])
+def test_batched_solve_matches_one_grid_solves(name):
+    field = catalog(name)
+    grids = _batch_of_patches(32, 24)
+    batch = CorrectorOperator.from_field(grids, field)
+    system = batch.system(3.0, batch.rhs((0.6, 0.8)))
+    assert system.blocks == 3 and system.grid is None
+    stacked = solve(system, rel_tol=1e-10).values
+    for g, u in zip(grids, batch.split(stacked)):
+        one = CorrectorOperator.from_field(g, field)
+        ref = solve(one.system(3.0, one.rhs((0.6, 0.8))), rel_tol=1e-10).values
+        assert u.grid is g and np.shares_memory(u.values, stacked)
+        assert np.linalg.norm(u.values - ref) <= 1e-7 * np.linalg.norm(ref)
+
+
+def test_equilibrated_solve_meets_the_tolerance_on_every_block():
+    grids = _batch_of_patches(32, 24)  # two levels, so the V-cycle is not a direct solve
+    op = CorrectorOperator.from_field(grids, catalog("mat2"))
+    loads = op.rhs((1.0, 0.0)).reshape(3, -1).copy()
+    loads[0] *= 1e6
+    loads[2] = 0.0
+    system = op.system(1.0, loads.ravel())
+    x0 = np.ones(system.rhs.size)  # a warm start is scaled with its block
+    u = solve(system, rel_tol=1e-8, x0=x0).values.reshape(3, -1)
+    r = loads - (system.matrix @ u.ravel()).reshape(3, -1)
+    for i in range(2):
+        assert np.linalg.norm(r[i]) <= 1e-8 * np.linalg.norm(loads[i])
+    assert np.all(u[2] == 0.0)
+    with pytest.raises(SolverError, match="block") as exc:
+        solve(system, rel_tol=1e-12, max_iter=1)
+    assert exc.value.residual > 1e-12
 
 
 def test_coarsening_rule():
