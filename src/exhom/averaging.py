@@ -11,9 +11,12 @@ The windowed tensor approximations pair primal and dual correctors:
 
 and the projected variant subtracts the mu_L-mean from each gradient first,
 which makes the result uniformly coercive for symmetric fields.  Quadrature
-collocates with the corrector grid's Gauss points, and every average is
-normalized by the quadrature mass of mu_L (required anyway when the window
-is clipped by a domain boundary, as in the multiscale solver).
+collocates with the corrector grid's Gauss points and is restricted to the
+filter's window: mu_L vanishes outside Q_L, so every average visits only
+the block of cells that meets Q_L (`Filter.window`; with L = R/3 it is a
+ninth of the box).  Every average is normalized by the quadrature mass of
+mu_L (required anyway when the window is clipped by a domain boundary, as
+in the multiscale solver).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from .coeffs import CoefficientField
 from .corrector import extrapolate, solve_ladder
-from .grid import CorrectorOperator, StructuredGrid
+from .grid import CorrectorOperator, StructuredGrid, gradient_field
 
 __all__ = [
     "Filter",
@@ -134,16 +137,28 @@ class Filter:
         w = self.profile((pts[:, 0] - center[0]) / L) * self.profile((pts[:, 1] - center[1]) / L)
         return w / L**2
 
-    def grid_weights(self, grid: StructuredGrid, L: float, center) -> np.ndarray:
-        """`weights_nd` at the grid's Gauss points, bitwise equal.
+    def window(self, grid: StructuredGrid, L: float, center) -> tuple:
+        """The filter's window on the grid: (cells, weights).
 
-        The profile is evaluated once per axis abscissa and the weights are
-        their outer product, with the same arithmetic as `weights_nd`.
+        `cells` is a pair of slices, the contiguous cell ranges along x and
+        y whose Gauss abscissae meet the support of mu_L(. - center);
+        mu_L is zero at every Gauss point outside that block.  `weights` is
+        `weights_nd` at the block's Gauss points, bitwise equal, ordered like
+        `gradient_field(u, cells)`: the profile is evaluated once per axis
+        abscissa and the weights are their outer product, with the same
+        arithmetic as `weights_nd`.
         """
         xs, ys = grid.quad_axes()
         wx = self.profile((xs - center[0]) / L)  # (nx, x side)
         wy = self.profile((ys - center[1]) / L)  # (ny, y side)
-        return (wx[:, None, None, :] * wy[None, :, :, None] / L**2).ravel()
+        sx, sy = _support(wx), _support(wy)
+        return (sx, sy), (wx[sx, None, None, :] * wy[None, sy, :, None] / L**2).ravel()
+
+
+def _support(values: np.ndarray) -> slice:
+    """The contiguous index range of the rows of `values` that hold a nonzero."""
+    nz = np.flatnonzero(values.reshape(len(values), -1).any(axis=1))
+    return slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
 
 
 def build_filter(p) -> Filter:
@@ -186,19 +201,20 @@ def filtered_average(
     half_x = 0.5 * grid.nx * grid.hx
     if L > half_x + 1e-12 or L > 0.5 * grid.ny * grid.hy + 1e-12:
         raise ValueError(f"averaging window L={L} exceeds the grid half-width")
-    w = filt.grid_weights(grid, L, center) * grid.quad_weight()
+    cells, w = filt.window(grid, L, center)
+    w *= grid.quad_weight()
     mass = float(w.sum())
     if mass <= 0.0:
         raise ValueError("filter mass vanishes on the grid (window too small?)")
-    return float(np.dot(w, np.asarray(values))) / mass
+    values = np.asarray(values).reshape(grid.nx, grid.ny, 4)[cells].ravel()
+    return float(np.dot(w, values)) / mass
 
 
 def filter_quadrature_mass(grid: StructuredGrid, filt: Filter, L: float, center=None) -> float:
     """Quadrature mass of mu_L on the grid (1 up to quadrature error)."""
     if center is None:
         center = grid.center
-    w = filt.grid_weights(grid, L, center) * grid.quad_weight()
-    return float(w.sum())
+    return float((filt.window(grid, L, center)[1] * grid.quad_weight()).sum())
 
 
 @dataclass
@@ -249,11 +265,6 @@ class CorrectorBundle:
     def at_level(self, k: int) -> "CorrectorBundle":
         return replace(self, k=k)
 
-    def gradients_at_quad(self):
-        gp = [s.gradient_at_quad() for s in self.primal]
-        gd = gp if self.dual is self.primal else [s.gradient_at_quad() for s in self.dual]
-        return gp, gd
-
 
 def solve_corrector_bundle(
     field: CoefficientField,
@@ -282,41 +293,43 @@ def solve_corrector_bundle(
 def _tensor_from_gradients(
     grid: StructuredGrid,
     A_q: np.ndarray,
-    grads_primal,
-    grads_dual,
+    primal,
+    dual,
     filt: Filter,
     L: float,
     project: bool,
     center=None,
 ):
-    """Windowed tensor from gradients and A at the grid's Gauss points."""
+    """Windowed tensor from the level-k correctors and A at the grid's Gauss points.
+
+    `primal` and `dual` hold the correctors for xi = e1, e2 as DofVectors on
+    `grid` (`dual` is `primal` for symmetric fields).  Only the filter's
+    window is visited: A, the gradients, their means and the contraction
+    are restricted to the block of cells where mu_L is nonzero.
+    """
     if center is None:
         center = grid.center
-    w = filt.grid_weights(grid, L, center) * grid.quad_weight()
+    cells, w = filt.window(grid, L, center)
+    w *= grid.quad_weight()
     mass = float(w.sum())
     if mass <= 0.0:
         raise ValueError("filter mass vanishes on the grid")
     wn = w / mass
-    A_q = A_q.reshape(-1, 2, 2)
+    A_w = A_q.reshape(grid.nx, grid.ny, 4, 2, 2)[cells].reshape(-1, 2, 2)
 
-    means = {"primal": [], "dual": []}
-    gp, gd = [], []
-    for d in range(2):
-        mp = wn @ grads_primal[d]
-        md = wn @ grads_dual[d]
-        means["primal"].append(mp.copy())
-        means["dual"].append(md.copy())
-        gp.append(grads_primal[d] - mp if project else grads_primal[d])
-        gd.append(grads_dual[d] - md if project else grads_dual[d])
-
-    eye = np.eye(2)
-    mat = np.zeros((2, 2))
-    for j in range(2):  # row: test direction xi' = e_j (dual corrector)
-        fj = eye[j] + gd[j]
-        for i in range(2):
-            fi = eye[i] + gp[i]
-            integrand = np.einsum("qa,qab,qb->q", fj, A_q, fi)
-            mat[j, i] = float(wn @ integrand)
+    # (direction, point, axis) gradients on the window
+    gp = np.stack([gradient_field(u, cells) for u in primal])
+    gd = gp if dual is primal else np.stack([gradient_field(u, cells) for u in dual])
+    mp = np.array([wn @ g for g in gp])
+    md = mp if gd is gp else np.array([wn @ g for g in gd])
+    means = {"primal": list(mp), "dual": list(md)}
+    eye = np.eye(2)[:, None, :]
+    fp = eye + (gp - mp[:, None] if project else gp)
+    fd = fp if gd is gp else eye + (gd - md[:, None] if project else gd)
+    # mat[j, i] = sum_q wn_q (e_j + grad phi'_j) . A (e_i + grad phi_i): row j tests
+    # with the dual corrector of xi' = e_j
+    afp = np.einsum("qab,iqb->iqa", A_w, fp)
+    mat = np.einsum("jqa,iqa->ji", fd * wn[:, None], afp)
     sym = 0.5 * (mat + mat.T)
     min_eig = float(np.linalg.eigvalsh(sym).min())
     return mat, min_eig, means, mass
@@ -326,10 +339,9 @@ def _hom_tensor(field, R, n, T, k, L, filt, rel_tol, project, bundle=None):
     grid = StructuredGrid.square(R, n)
     if bundle is None:
         bundle = solve_corrector_bundle(field, grid, T, k, rel_tol=rel_tol)
-    gp, gd = bundle.gradients_at_quad()
-    mat, min_eig, means, mass = _tensor_from_gradients(
-        bundle.grid, bundle.A_q, gp, gd, filt, L, project
-    )
+    primal = [s.u for s in bundle.primal]
+    dual = primal if bundle.dual is bundle.primal else [s.u for s in bundle.dual]
+    mat, min_eig, means, mass = _tensor_from_gradients(bundle.grid, bundle.A_q, primal, dual, filt, L, project)
     params = dict(
         field=field.name,
         variant="projected" if project else "prime",

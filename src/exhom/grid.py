@@ -9,9 +9,11 @@ the zero-order term vanishes).
 A `CorrectorOperator` is built once per (field, grid, bc).  It evaluates A
 at the quadrature points once, sums the cell stiffness matrices (one
 (cells, 16) @ (16, 16) product) into the nine-point stiffness K on the free
-dofs, and holds the mass M and the loads -int grad(psi) . A e_i.  Every
-zero-order shift s = 1/T is then the system (K + s M) x = b, so a dyadic
-ladder in T re-assembles nothing.
+dofs, and holds the mass M and the loads -int grad(psi) . A e_i.  K and M
+are filled on one sparsity pattern, built (and, on periodic grids, sorted)
+once per operator, so they share their index arrays.  Every zero-order
+shift s = 1/T is then the system (K + s M) x = b, so a dyadic ladder in T
+re-assembles nothing.
 
 The assembly carries a leading batch axis: an operator is built for a
 batch of grids that share their cell counts (nx, ny) and bc, each with its
@@ -26,17 +28,18 @@ about 0.8 KB per dof while it is assembled, so callers bound its size
 `solve` is the one Krylov entry point: conjugate gradients for symmetric
 systems, BiCGStab otherwise, preconditioned by a geometric multigrid
 V-cycle.  The hierarchy halves the grid (bilinear prolongation P, wrapping
-around on periodic grids) while both cell counts are even and the level has
-more than `COARSE_DOFS` dofs.  Coarse operators are Galerkin products
-P^T K P and P^T M P, built once per operator, so a shift costs one sparse
-sum per level.  Each level smooths with damped Jacobi; the coarsest level
-is factorized when it has at most `DIRECT_DOFS` dofs and only smoothed
-otherwise (a large grid with an odd cell count), so no large grid is ever
-factorized whole.  A system without a hierarchy is a single level: a direct
-solve when small.  A batch halves alike in every block, so its
-prolongations are I_B (x) P and every level stays block-diagonal.  The
-solve of a batched system is equilibrated, so each block meets the
-tolerance relative to its own right-hand side (see `solve`).
+around on periodic grids) while both cell counts are at least 4 and the
+level has more than `COARSE_DOFS` dofs; an odd count n halves to
+ceil(n/2), the last coarse cell one fine cell wide.  Coarse operators are
+Galerkin products P^T K P and P^T M P, built once per operator with the
+restrictions P^T, so a shift costs one sparse sum per level.  Each level
+smooths with damped Jacobi and the coarsest is factorized: it is small,
+or under 4 cells wide, so no large grid is ever factorized whole.  A
+system without a hierarchy is a single level, a direct solve.  A batch
+halves alike in every block, so its prolongations are I_B (x) P and every
+level stays block-diagonal.  The solve of a batched system is
+equilibrated, so each block meets the tolerance relative to its own
+right-hand side (see `solve`).
 """
 
 from __future__ import annotations
@@ -71,13 +74,8 @@ GAUSS_POINTS = np.array([[-_G, -_G], [_G, -_G], [-_G, _G], [_G, _G]])
 # local node l of a cell sits at this (x, y) offset from the cell's first node
 _NODE_OFFSETS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
-#: A level with more dofs than this is halved while its cell counts are even.
+#: A level with more dofs than this is halved while both cell counts are at least 4.
 COARSE_DOFS = 300
-#: The coarsest level is factorized up to this size and only smoothed above it.
-#: On odd mat2 bottoms of 4096-64516 dofs LU made the whole solve 3-6x
-#: faster, but its factor's peak memory grows faster than the level (+38 MB
-#: at 15876 dofs, +68 MB at 25600, +190 MB at 64516); this caps it near 40 MB.
-DIRECT_DOFS = 16384
 _JACOBI_WEIGHT = 0.8
 
 
@@ -295,14 +293,56 @@ def _cell_sum(grids, bc: str, cell_values: np.ndarray) -> np.ndarray:
     return _free_part(nodal, bc)
 
 
-def _stencil_matrix(grids, bc: str, local: np.ndarray) -> sp.csr_matrix:
-    """Sum cell matrices into a block-diagonal nine-point CSR matrix.
+def _stencil_pattern(nx: int, ny: int, bc: str, B: int) -> tuple:
+    """CSR pattern of a block-diagonal nine-point matrix: (indices, indptr, slots, starts).
 
-    One block per grid, on its free dofs.  `local` holds one 4x4 matrix per
-    cell of every grid (B * ncells * 16 values, grid- then cell-major), or
-    one (4, 4) matrix per grid shared by all of its cells, (B, 4, 4).
-    Periodic matrices are unpinned; entries coupling to Dirichlet nodes are
-    dropped, so only free-dof entries are ever stored.
+    A block's row r holds its free dof's nine neighbour offsets (dx, dy) in
+    -1..1, the (B * n, 9) layout of `_stencil_data`.  `slots` picks the
+    stored ones, in CSR order, from that layout flattened; entries coupling
+    to Dirichlet nodes are dropped.  Periodic rows wrap around, so their
+    columns are sorted here, once; on an axis of two cells two neighbours
+    wrap onto one node, and `starts` (None when no row has such a pair)
+    marks where each stored entry's run of picked slots begins.
+    """
+    d = np.arange(-1, 2, dtype=np.int32)
+    n = _n_free(nx, ny, bc)
+    if bc == "periodic":
+        i = np.arange(nx, dtype=np.int32)[:, None, None, None] + d[:, None]
+        j = np.arange(ny, dtype=np.int32)[None, :, None, None] + d
+        cols = ((i % nx) * ny + j % ny).reshape(n, 9)
+        order = np.argsort(cols, axis=1, kind="stable")
+        cols = np.take_along_axis(cols, order, axis=1)
+        slots = (9 * np.arange(n)[:, None] + order).ravel()
+        keep = np.ones((n, 9), dtype=bool)
+        keep[:, 1:] = cols[:, 1:] != cols[:, :-1]
+        starts = None if keep.all() else np.flatnonzero(keep)
+        indices, counts = cols[keep], keep.sum(axis=1)
+    else:  # interior node (i, j) of the (nx-1) x (ny-1) free nodes, in row order
+        m, k = nx - 1, ny - 1
+        i = np.arange(m, dtype=np.int32)[:, None, None, None] + d[:, None]
+        j = np.arange(k, dtype=np.int32)[None, :, None, None] + d
+        inx, iny = (i >= 0) & (i < m), (j >= 0) & (j < k)
+        slots, starts = np.flatnonzero(inx & iny), None
+        indices = (i * k + j).ravel()[slots]
+        counts = np.multiply.outer(inx.sum(axis=2).ravel(), iny.sum(axis=3).ravel()).ravel()
+    if B > 1:  # block b's columns are offset by b * n, its slots by b * 9n
+        b = np.arange(B)[:, None]
+        indices = (indices + n * b).ravel()
+        counts = np.tile(counts, B)
+        if starts is not None:
+            starts = (starts + slots.size * b).ravel()
+        slots = (slots + 9 * n * b).ravel()
+    indptr = np.zeros(B * n + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    return indices.astype(np.int32, copy=False), indptr, slots, starts
+
+
+def _stencil_data(grids, bc: str, local: np.ndarray) -> np.ndarray:
+    """Sum cell matrices into (B * n, 9) nine-point rows on the free dofs.
+
+    `local` holds one 4x4 matrix per cell of every grid (B * ncells * 16
+    values, grid- then cell-major), or one (4, 4) matrix per grid shared by
+    all of its cells, (B, 4, 4).  Periodic rows are unpinned.
     """
     B, nx, ny = len(grids), grids[0].nx, grids[0].ny
     shape = (B, nx, ny, 4, 4)
@@ -314,31 +354,27 @@ def _stencil_matrix(grids, bc: str, local: np.ndarray) -> sp.csr_matrix:
     for l, (ax, ay) in enumerate(_NODE_OFFSETS):
         for m, (bx, by) in enumerate(_NODE_OFFSETS):
             stencil[:, ax : ax + nx, ay : ay + ny, bx - ax + 1, by - ay + 1] += local[..., l, m]
-    data = _free_part(stencil, bc).reshape(-1, 9)
-    d = np.arange(-1, 2)
-    if bc == "periodic":
-        i = np.arange(nx)[:, None, None, None] + d[:, None]
-        j = np.arange(ny)[None, :, None, None] + d
-        cols = (i % nx) * ny + j % ny
-        valid = np.ones(cols.shape, dtype=bool)
-    else:
-        i = np.arange(1, nx)[:, None, None, None] + d[:, None]
-        j = np.arange(1, ny)[None, :, None, None] + d
-        cols = (i - 1) * (ny - 1) + (j - 1)
-        valid = (i >= 1) & (i <= nx - 1) & (j >= 1) & (j <= ny - 1)
-    n = _n_free(nx, ny, bc)
-    if B > 1:  # block b's columns are offset by b * n
-        cols = cols.reshape(1, n, 9) + n * np.arange(B)[:, None, None]
-        valid = np.broadcast_to(valid.reshape(1, n, 9), (B, n, 9))
-    valid = valid.reshape(-1, 9)
-    indptr = np.zeros(B * n + 1, dtype=np.int32)
-    np.cumsum(valid.sum(axis=1), out=indptr[1:])
-    mat = sp.csr_matrix(
-        (data[valid], cols.reshape(-1, 9)[valid].astype(np.int32), indptr), shape=(B * n, B * n)
-    )
-    if bc == "periodic":
-        mat.sum_duplicates()  # sorts the wrapped columns; merges them on 2-cell axes
-    return mat
+    return _free_part(stencil, bc).reshape(-1, 9)
+
+
+def _stencil_matrices(grids, bc: str, locals_) -> list:
+    """Block-diagonal nine-point CSR matrices, one per array of cell matrices.
+
+    The matrices share one pattern, built once: their `indices` and
+    `indptr` are the same memory, sorted and free of duplicates (so no
+    in-place canonicalization ever rewrites them), and `K + s M` is a sum
+    of data arrays (`_shifted`).
+    """
+    B, nx, ny = len(grids), grids[0].nx, grids[0].ny
+    indices, indptr, slots, starts = _stencil_pattern(nx, ny, bc, B)
+    size = B * _n_free(nx, ny, bc)
+    out = []
+    for local in locals_:
+        data = _stencil_data(grids, bc, local).ravel()[slots]
+        if starts is not None:
+            data = np.add.reduceat(data, starts)
+        out.append(sp.csr_matrix((data, indices, indptr), shape=(size, size)))
+    return out
 
 
 def _mass_local(grids) -> np.ndarray:
@@ -347,12 +383,12 @@ def _mass_local(grids) -> np.ndarray:
     return sum(w * np.outer(N, N) for N in (_shape_values(*gp)[0] for gp in GAUSS_POINTS))
 
 
-def _q1_stiffness(grids, bc: str, A_q: np.ndarray) -> sp.csr_matrix:
-    """Block-diagonal K from A at the quadrature points, (B * ncells, 4, 2, 2)."""
+def _q1_stiffness_local(grids, A_q: np.ndarray) -> np.ndarray:
+    """(B, ncells, 16) cell stiffness matrices from A at the quadrature points, (B * ncells, 4, 2, 2)."""
     D = _physical_shape_gradients(grids)  # (z, g, i, a)
     # K_loc[z, c, i, j] = w_z sum_g dN_g[i] . A_g dN_g[j]: one matmul per grid over (g, a, b)
     basis = _quad_weights(grids)[:, None, None] * np.einsum("zgia,zgjb->zgabij", D, D).reshape(-1, 16, 16)
-    return _stencil_matrix(grids, bc, A_q.reshape(len(grids), -1, 16) @ basis)
+    return A_q.reshape(len(grids), -1, 16) @ basis
 
 
 def _q1_loads(grids, bc: str, A_q: np.ndarray) -> np.ndarray:
@@ -368,12 +404,16 @@ def _q1_loads(grids, bc: str, A_q: np.ndarray) -> np.ndarray:
 
 
 def _prolongation_1d(n: int, bc: str) -> sp.csr_matrix:
-    """Linear interpolation from n/2 to n cells on the bc's free nodes."""
-    nc = n // 2
-    I = np.arange(nc)
-    rows = np.concatenate([2 * I, 2 * I + 1, 2 * I + 1, [n]])
-    cols = np.concatenate([I, I, I + 1, [nc]])
-    vals = np.concatenate([np.ones(nc), np.full(2 * nc, 0.5), [1.0]])
+    """Linear interpolation from ceil(n/2) to n cells on the bc's free nodes.
+
+    Coarse node i sits at fine node min(2i, n): on an odd n the last coarse
+    cell is one fine cell wide.
+    """
+    nc, half = (n + 1) // 2, n // 2
+    I = np.arange(half)
+    rows = np.concatenate([2 * np.arange(nc), 2 * I + 1, 2 * I + 1, [n]])
+    cols = np.concatenate([np.arange(nc), I, I + 1, [nc]])
+    vals = np.concatenate([np.ones(nc), np.full(2 * half, 0.5), [1.0]])
     if bc == "periodic":  # node n is node 0, coarse node nc is coarse node 0
         keep = rows < n
         return sp.csr_matrix((vals[keep], (rows[keep], cols[keep] % nc)), shape=(n, nc))
@@ -388,18 +428,19 @@ def _prolongations(grids, bc: str) -> list:
     """
     out = []
     nx, ny = grids[0].nx, grids[0].ny
-    while nx % 2 == 0 and ny % 2 == 0 and min(nx, ny) >= 4 and _n_free(nx, ny, bc) > COARSE_DOFS:
+    while min(nx, ny) >= 4 and _n_free(nx, ny, bc) > COARSE_DOFS:
         P = sp.kron(_prolongation_1d(nx, bc), _prolongation_1d(ny, bc), format="csr")
         out.append(P if len(grids) == 1 else sp.kron(sp.identity(len(grids)), P, format="csr"))
-        nx, ny = nx // 2, ny // 2
+        nx, ny = (nx + 1) // 2, (ny + 1) // 2
     return out
 
 
-def _galerkin(A: sp.csr_matrix, prolongations) -> list:
-    """[A, P0^T A P0, P1^T P0^T A P0 P1, ...]."""
-    levels = [A]
-    for P in prolongations:
-        levels.append((P.T @ levels[-1] @ P).tocsr())
+def _galerkin(A: sp.csr_matrix, prolongations, restrictions) -> list:
+    """[P0^T A P0, P1^T P0^T A P0 P1, ...], the levels below A."""
+    levels = []
+    for P, R in zip(prolongations, restrictions):
+        A = (R @ A @ P).tocsr()
+        levels.append(A)
     return levels
 
 
@@ -425,30 +466,25 @@ class Multigrid:
     """Symmetric V-cycle on levels A_0 (finest) ... A_L, used as M^{-1}.
 
     One damped-Jacobi sweep before and one after each coarse correction,
-    restriction by P^T; the coarsest level is solved by LU when it has at
-    most `DIRECT_DOFS` dofs and smoothed otherwise.  Symmetric levels give a
-    symmetric preconditioner.
+    restriction by the given R_l = P_l^T; the coarsest level is solved by
+    LU.  Symmetric levels give a symmetric preconditioner.
     """
 
-    def __init__(self, levels, prolongations=()):
+    def __init__(self, levels, prolongations=(), restrictions=()):
         self.levels = levels
-        self.P = prolongations
-        self.R = [P.T.tocsr() for P in prolongations]
-        self.dinv = [_JACOBI_WEIGHT / A.diagonal() for A in levels]
-        bottom = levels[-1]
-        self.lu = spla.splu(bottom.tocsc()) if bottom.shape[0] <= DIRECT_DOFS else None
+        self.P, self.R = prolongations, restrictions
+        self.dinv = [_JACOBI_WEIGHT / A.diagonal() for A in levels[:-1]]
+        self.lu = spla.splu(levels[-1].tocsc())
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return self._cycle(0, np.ravel(r))
 
     def _cycle(self, level: int, r: np.ndarray) -> np.ndarray:
-        coarsest = level == len(self.levels) - 1
-        if coarsest and self.lu is not None:
+        if level == len(self.levels) - 1:
             return self.lu.solve(r)
         A, dinv = self.levels[level], self.dinv[level]
         x = dinv * r
-        if not coarsest:
-            x += self.P[level] @ self._cycle(level + 1, self.R[level] @ (r - A @ x))
+        x += self.P[level] @ self._cycle(level + 1, self.R[level] @ (r - A @ x))
         x += dinv * (r - A @ x)
         return x
 
@@ -467,8 +503,9 @@ class CorrectorOperator:
     them all.  A single grid is a batch of one; `grid` is that grid, and
     None on larger batches (`split` views a stacked vector per grid).
 
-    Holds the stiffness K, the mass M, the loads b_i for xi = e_i (rhs for
-    any xi is xi . b), the prolongations and, once a system is requested,
+    Holds the stiffness K and the mass M on one shared pattern, the loads
+    b_i for xi = e_i (rhs for any xi is xi . b), the prolongations and
+    their transposes (the restrictions) and, once a system is requested,
     the Galerkin coarse K and M.  `A_q` is the coefficient at the
     quadrature points, (B * ncells, 4, 2, 2), when the operator was built
     from a field.  The operator keeps no shifted matrices: each call of
@@ -485,6 +522,7 @@ class CorrectorOperator:
         self.symmetric = bool(symmetric)
         self.A_q = A_q
         self.prolongations = _prolongations(self.grids, bc)
+        self.restrictions = [P.T.tocsr() for P in self.prolongations]
         self._coarse = None  # Galerkin (K levels, M levels) below the finest
 
     @classmethod
@@ -493,8 +531,7 @@ class CorrectorOperator:
         grids = _batch(grids)
         points = grids[0].quad_points() if len(grids) == 1 else np.concatenate([g.quad_points() for g in grids])
         A_q = field(points).reshape(-1, 4, 2, 2)
-        K = _q1_stiffness(grids, bc, A_q)
-        M = _stencil_matrix(grids, bc, _mass_local(grids))
+        K, M = _stencil_matrices(grids, bc, [_q1_stiffness_local(grids, A_q), _mass_local(grids)])
         return cls(grids, bc, K, M, _q1_loads(grids, bc, A_q), field.is_symmetric, A_q=A_q)
 
     def transpose(self) -> "CorrectorOperator":
@@ -537,14 +574,13 @@ class CorrectorOperator:
         if pinned and self.grid is None:
             raise ValueError("a batch of periodic grids needs a positive shift (no pinning)")
         if self._coarse is None:
-            self._coarse = [_galerkin(A, self.prolongations)[1:] for A in (self.K, self.M)]
+            self._coarse = [_galerkin(A, self.prolongations, self.restrictions) for A in (self.K, self.M)]
         coarse = [_shifted(Kc, Mc, inv_T) for Kc, Mc in zip(*self._coarse)]
         levels = [self.matrix(inv_T)] + coarse
-        P = self.prolongations
+        P, R = self.prolongations, self.restrictions
         if pinned:
-            levels = [_pin(A) for A in levels]
-            P = [_pin(p) for p in P]
-        mg = Multigrid(levels, P)
+            levels, P, R = ([_pin(A) for A in mats] for mats in (levels, P, R))
+        mg = Multigrid(levels, P, R)
         return [
             SparseSystem(
                 matrix=levels[0], rhs=b[1:] if pinned else b, symmetric=self.symmetric,
@@ -586,7 +622,7 @@ def assemble(
 def mass_matrix(grid: StructuredGrid, bc: str = "dirichlet0", pinned: bool = False) -> sp.csr_matrix:
     """Q1 consistent mass matrix on the free dofs (2x2 Gauss, exact)."""
     _check_bc(bc)
-    M = _stencil_matrix((grid,), bc, _mass_local((grid,)))
+    (M,) = _stencil_matrices((grid,), bc, [_mass_local((grid,))])
     return _pin(M) if bc == "periodic" and pinned else M
 
 
@@ -661,11 +697,19 @@ def _blockwise(v: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return (v.reshape(scale.size, -1) * scale[:, None]).ravel()
 
 
-def _cell_corners(u: DofVector) -> np.ndarray:
-    """(ncells, 4) nodal values of `u` at each cell's corners, local node order."""
+def _cell_corners(u: DofVector, cells=None) -> np.ndarray:
+    """(ncells, 4) nodal values of `u` at each cell's corners, local node order.
+
+    `cells`, a pair of slices with explicit bounds, of cell indices along x
+    and y, gathers only that block of cells.
+    """
     g = u.grid
+    sx, sy = cells if cells is not None else (slice(0, g.nx), slice(0, g.ny))
     nodal = u.nodal()
-    return np.stack([nodal[ax : ax + g.nx, ay : ay + g.ny].ravel() for ax, ay in _NODE_OFFSETS], axis=1)
+    return np.stack(
+        [nodal[sx.start + ax : sx.stop + ax, sy.start + ay : sy.stop + ay].ravel() for ax, ay in _NODE_OFFSETS],
+        axis=1,
+    )
 
 
 def values_at_quad(u: DofVector) -> np.ndarray:
@@ -677,18 +721,22 @@ def values_at_quad(u: DofVector) -> np.ndarray:
     return (_cell_corners(u) @ N).ravel()
 
 
-def gradient_field(u: DofVector) -> np.ndarray:
+def gradient_field(u: DofVector, cells=None) -> np.ndarray:
     """Gradient of the Q1 interpolant at all 2x2 Gauss points.
 
     Returns a (4 * ncells, 2) array ordered like `grid.quad_points()`.
+    `cells`, a pair of slices with explicit bounds, of cell indices along x
+    and y, restricts it to that block of cells, in the same order: the result equals the
+    matching rows of the full gradient bitwise, because every entry is the
+    same elementwise sum over the cell's four corners.
     """
     g = u.grid
-    corners = _cell_corners(u)
-    out = np.empty((g.nx * g.ny, 4, 2))
+    corners = _cell_corners(u, cells)
+    out = np.empty((corners.shape[0], 4, 2))
     for gp in range(4):
         _, dN = _shape_values(*GAUSS_POINTS[gp])
         dNdx = dN / np.array([0.5 * g.hx, 0.5 * g.hy])
-        out[:, gp, :] = corners @ dNdx
+        out[:, gp, :] = sum(corners[:, l, None] * dNdx[l] for l in range(4))
     return out.reshape(-1, 2)
 
 

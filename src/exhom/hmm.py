@@ -301,10 +301,10 @@ def _patch_tensors(grids, centers, field_eps, T, k, H, filt, rel_tol) -> np.ndar
         dual = primal if op.symmetric else _extrapolated(op.transpose(), T, k, rel_tol, dual=True)
         A_q = op.A_q.reshape(len(chunk), -1, 4, 2, 2)
         for b, i in enumerate(chunk):
-            gp = [gradient_field(u[b]) for u in primal]
-            gd = gp if dual is primal else [gradient_field(u[b]) for u in dual]
+            up = [u[b] for u in primal]
+            ud = up if dual is primal else [u[b] for u in dual]
             out[i] = _tensor_from_gradients(
-                grids[i], A_q[b], gp, gd, filt, 0.5 * H, project=True, center=tuple(centers[i])
+                grids[i], A_q[b], up, ud, filt, 0.5 * H, project=True, center=tuple(centers[i])
             )[0]
     return out
 

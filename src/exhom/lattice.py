@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .averaging import Filter
+from .averaging import Filter, _support
 from .corrector import extrapolate, solve_ladder
 from .grid import CorrectorOperator, StructuredGrid
 
@@ -83,8 +83,8 @@ class LatticeField:
         for arr in (self.h, self.v):
             if np.asarray(arr).shape != (P, P):
                 raise ValueError("edge patterns must be 4x4")
-            if np.any(np.asarray(arr) <= 0):
-                raise ValueError("conductivities must be positive")
+            if not np.all((np.asarray(arr) > 0) & np.isfinite(arr)):
+                raise ValueError("conductivities must be positive and finite")
 
     def a_h(self, x1, x2):
         return self.h[np.mod(x1, P), np.mod(x2, P)]
@@ -94,19 +94,18 @@ class LatticeField:
 
     @classmethod
     def from_file(cls, path) -> "LatticeField":
-        """Read two 4x4 integer blocks (horizontal, then vertical edges).
+        """Read two 4x4 blocks of conductivities (horizontal, then vertical edges).
 
-        Values must be 1 or 100; blank lines and '#' comments are ignored.
+        Values must be positive and finite; blank lines and '#' comments are
+        ignored.
         """
         tokens = []
         for line in Path(path).read_text().splitlines():
             line = line.split("#", 1)[0]
             tokens.extend(line.split())
         if len(tokens) != 2 * P * P:
-            raise ValueError(f"expected {2 * P * P} integers, found {len(tokens)}")
+            raise ValueError(f"expected {2 * P * P} values, found {len(tokens)}")
         vals = np.array([float(t) for t in tokens])
-        if not np.all(np.isin(vals, (1.0, 100.0))):
-            raise ValueError("pattern files may only contain the conductivities 1 and 100")
         return cls(
             h=vals[: P * P].reshape(P, P),
             v=vals[P * P :].reshape(P, P),
@@ -331,34 +330,37 @@ def lattice_hom(
 
     Filter weights are evaluated at edge midpoints and each direction's sum
     is normalized by its own weight mass, so homogeneous networks are
-    reproduced exactly.
+    reproduced exactly.  Only the edges inside the filter's window are
+    visited.
     """
     S, coords = _box_offsets(R)
     if L > S / 2:
         raise ValueError(f"averaging window L={L} exceeds the box half-width {S // 2}")
-    ah, av = _edge_arrays(field, coords)
     corr = _box_correctors(field, R, T, k, np.eye(2), rel_tol)
 
-    X1, X2 = np.meshgrid(coords.astype(float), coords.astype(float), indexing="ij")
-    wh = filt.weights_nd(
-        np.stack([(X1[:-1, :] + 0.5).ravel(), X2[:-1, :].ravel()], axis=1), L
-    )
-    wv = filt.weights_nd(
-        np.stack([X1[:, :-1].ravel(), (X2[:, :-1] + 0.5).ravel()], axis=1), L
-    )
-    wh = wh.reshape(S, S + 1)
-    wv = wv.reshape(S + 1, S)
+    # the window: the index ranges, along either axis, of the sites (s) and
+    # of the edge midpoints (e) where the filter profile is nonzero; a
+    # horizontal edge (p, q) joins sites (p, q) and (p + 1, q), a vertical
+    # edge (q, p) sites (q, p) and (q, p + 1)
+    x = coords.astype(float)
+    s = _support(filt.profile(x / L))
+    e = _support(filt.profile((x[:-1] + 0.5) / L))
+    ah = field.a_h(coords[e][:, None], coords[s][None, :])
+    av = field.a_v(coords[s][:, None], coords[e][None, :])
+    X1, X2 = np.meshgrid(x[e] + 0.5, x[s], indexing="ij")
+    wh = filt.weights_nd(np.stack([X1.ravel(), X2.ravel()], axis=1), L).reshape(X1.shape)
+    wv = filt.weights_nd(np.stack([X2.T.ravel(), X1.T.ravel()], axis=1), L).reshape(X1.T.shape)
     mh, mv = wh.sum(), wv.sum()
     if mh <= 0 or mv <= 0:
         raise ValueError("filter support contains no edge midpoints")
 
-    g1 = [c.nodal[1:, :] - c.nodal[:-1, :] for c in corr]
-    g2 = [c.nodal[:, 1:] - c.nodal[:, :-1] for c in corr]
+    g1 = [np.diff(c.nodal[e.start : e.stop + 1, s], axis=0) for c in corr]
+    g2 = [np.diff(c.nodal[s, e.start : e.stop + 1], axis=1) for c in corr]
     eye = np.eye(2)
     A = np.zeros((2, 2))
     for a in range(2):
         for b in range(2):
             f1 = (eye[a, 0] + g1[a]) * (eye[b, 0] + g1[b])
             f2 = (eye[a, 1] + g2[a]) * (eye[b, 1] + g2[b])
-            A[a, b] = float((wh * ah[:-1, :] * f1).sum() / mh + (wv * av[:, :-1] * f2).sum() / mv)
+            A[a, b] = float((wh * ah * f1).sum() / mh + (wv * av * f2).sum() / mv)
     return A

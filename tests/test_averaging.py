@@ -5,6 +5,8 @@ import pytest
 from scipy.integrate import quad
 
 from exhom.averaging import (
+    _support,
+    _tensor_from_gradients,
     _shape2,
     _shape3,
     _shape4,
@@ -17,7 +19,8 @@ from exhom.averaging import (
     solve_corrector_bundle,
 )
 from exhom.coeffs import catalog
-from exhom.grid import StructuredGrid
+from exhom.grid import DofVector, StructuredGrid, gradient_field
+from exhom.hmm import _patch_grid, scaled_field
 from exhom.reference import laminate_oracle, periodic_cell
 
 rng = np.random.default_rng(5)
@@ -185,7 +188,8 @@ def test_entrywise_assembly_matches_scalar_form():
     w = filt.weights_nd(pts, L, grid.center) * grid.quad_weight()
     wn = w / w.sum()
     A_q = field(pts)
-    gp, gd = bundle.gradients_at_quad()
+    gp = [gradient_field(s.u) for s in bundle.primal]
+    gd = [gradient_field(s.u) for s in bundle.dual]
     for _ in range(10):
         xi = rng.standard_normal(2)
         xi /= np.linalg.norm(xi)
@@ -254,10 +258,90 @@ def test_laminate_tensor_against_oracle():
 
 @pytest.mark.parametrize("p", [0, 1, 3, 4, "inf"])
 def test_grid_weights_bitwise_equal_to_weights_nd(p):
+    # the window's weights are weights_nd on its block, bitwise, and
+    # weights_nd is zero at every Gauss point outside the block
     filt = build_filter(p)
     for grid, L, center in (
         (StructuredGrid.square(3.0, 48, center=(0.5, -0.25)), 2.0, (0.5, -0.25)),
+        (StructuredGrid.square(3.0, 48, center=(0.5, -0.25)), 3.0, (0.5, -0.25)),
         (StructuredGrid.from_box((0.1, 0.4, 0.55, 0.8), 23, 19), 0.0625, (0.23, 0.7)),
+        (StructuredGrid.from_box((0.0, 0.14, 0.2, 0.39), 17, 24), 0.0625, (1 / 24, 0.29)),  # clipped
     ):
-        expected = filt.weights_nd(grid.quad_points(), L, center)
-        assert np.array_equal(filt.grid_weights(grid, L, center), expected)
+        expected = filt.weights_nd(grid.quad_points(), L, center).reshape(grid.nx, grid.ny, 4)
+        cells, w = filt.window(grid, L, center)
+        assert np.array_equal(w, expected[cells].ravel())
+        outside = np.ones((grid.nx, grid.ny), dtype=bool)
+        outside[cells] = False
+        assert np.all(expected[outside] == 0.0)
+        assert w.size < expected.size or L >= 3.0
+
+
+def test_window_is_a_ninth_of_the_box_at_L_R_over_3():
+    grid = StructuredGrid.square(10.0, 320)
+    (sx, sy), w = build_filter(4).window(grid, 10.0 / 3.0, grid.center)
+    assert sx == sy and sx.stop - sx.start <= 320 // 3 + 2
+    assert w.size == 4 * (sx.stop - sx.start) ** 2
+    assert _support(np.zeros((5, 2))) == slice(0, 0)
+
+
+def test_gradient_field_on_cells_bitwise_equal_to_full_slice():
+    r = np.random.default_rng(11)
+    for grid, bc, pinned in (
+        (StructuredGrid.from_box((0.0, 1.3, -0.2, 0.5), 23, 17), "dirichlet0", False),
+        (StructuredGrid.from_box((0.0, 1.3, -0.2, 0.5), 12, 9), "periodic", True),
+    ):
+        n = (grid.nx - 1) * (grid.ny - 1) if bc == "dirichlet0" else grid.nx * grid.ny - pinned
+        u = DofVector(r.standard_normal(n), grid, bc, pinned)
+        full = gradient_field(u).reshape(grid.nx, grid.ny, 4, 2)
+        for cells in ((slice(3, 11), slice(0, 5)), (slice(0, grid.nx), slice(grid.ny - 4, grid.ny)),
+                      (slice(5, 6), slice(2, 3))):
+            assert np.array_equal(gradient_field(u, cells), full[cells].reshape(-1, 2))
+
+
+def _full_grid_tensor(grid, A_q, primal, dual, filt, L, project, center):
+    """The windowed tensor summed over every Gauss point of the grid with weights_nd."""
+    w = filt.weights_nd(grid.quad_points(), L, center) * grid.quad_weight()
+    wn = w / w.sum()
+    A = A_q.reshape(-1, 2, 2)
+    gp = [gradient_field(u) for u in primal]
+    gd = [gradient_field(u) for u in dual]
+    if project:
+        gp = [g - wn @ g for g in gp]
+        gd = [g - wn @ g for g in gd]
+    eye = np.eye(2)
+    return np.array([[wn @ np.einsum("qa,qab,qb->q", eye[j] + gd[j], A, eye[i] + gp[i]) for i in range(2)]
+                     for j in range(2)])
+
+
+@pytest.fixture(scope="module")
+def mat4_bundle():
+    return solve_corrector_bundle(catalog("mat4"), StructuredGrid.square(3.0, 48, center=(0.25, 0.5)), 0.2, 1,
+                                  rel_tol=1e-10)
+
+
+@pytest.mark.parametrize("p, L", [(4, 1.0), (3, 3.0), (0, 1.0), ("inf", 1.0), (0, 3.0), ("inf", 3.0)])
+@pytest.mark.parametrize("project", [True, False])
+def test_windowed_tensor_matches_full_grid_contraction(mat4_bundle, p, L, project):
+    # centred window L = R/3, L = R, and the orders 0 and inf
+    b, filt = mat4_bundle, build_filter(p)
+    primal, dual = [s.u for s in b.primal], [s.u for s in b.dual]
+    got = _tensor_from_gradients(b.grid, b.A_q, primal, dual, filt, L, project)[0]
+    ref = _full_grid_tensor(b.grid, b.A_q, primal, dual, filt, L, project, b.grid.center)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_windowed_tensor_on_a_clipped_patch_window():
+    # an HMM patch clipped by the domain edge, its window clipped by the patch
+    eps, H, h = 1 / 16, 1 / 8, 1 / 128
+    center = (H / 3, 2.5 * H)
+    grid = _patch_grid(center, 0.75 * H, (1.0, 1.0), h)
+    assert grid.x0 == 0.0 and grid.nx != grid.ny
+    field = scaled_field(catalog("mat4"), eps)
+    b = solve_corrector_bundle(field, grid, 2 * eps * eps, 2, rel_tol=1e-10)
+    filt = build_filter(3)
+    (sx, _), _ = filt.window(grid, 0.5 * H, center)
+    assert sx.start == 0
+    primal, dual = [s.u for s in b.primal], [s.u for s in b.dual]
+    got = _tensor_from_gradients(grid, b.A_q, primal, dual, filt, 0.5 * H, True, center=center)[0]
+    ref = _full_grid_tensor(grid, b.A_q, primal, dual, filt, 0.5 * H, True, center)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()

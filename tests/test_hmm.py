@@ -29,7 +29,8 @@ def _textbook_p1_poisson(mesh, f):
     rhs = np.zeros(nv)
     for tri in mesh.triangles:
         p = mesh.vertices[tri]
-        area = 0.5 * abs(np.cross(p[1] - p[0], p[2] - p[0]))
+        (ux, uy), (vx, vy) = p[1] - p[0], p[2] - p[0]
+        area = 0.5 * abs(ux * vy - uy * vx)
         grads = np.zeros((3, 2))
         for loc in range(3):
             a, b = p[(loc + 1) % 3], p[(loc + 2) % 3]

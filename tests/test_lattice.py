@@ -7,6 +7,7 @@ import pytest
 from exhom.averaging import build_filter
 from exhom.lattice import (
     PUBLISHED_CELL_VALUE,
+    _box_correctors,
     LatticeField,
     default_pattern,
     exact_cell_hom,
@@ -118,15 +119,56 @@ def test_pattern_file_roundtrip(tmp_path):
 
 def test_pattern_file_validation(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text(" ".join(["2"] * 32))
-    with pytest.raises(ValueError, match="1 and 100"):
-        LatticeField.from_file(path)
+    for bad in ("0", "-2", "nan", "inf"):
+        path.write_text(" ".join(["2"] * 31 + [bad]))
+        with pytest.raises(ValueError, match="positive and finite"):
+            LatticeField.from_file(path)
     path.write_text(" ".join(["1"] * 31))
     with pytest.raises(ValueError, match="expected 32"):
         LatticeField.from_file(path)
+
+
+def test_pattern_file_with_any_positive_wires(tmp_path):
+    # a weave of wires 2, 3, 5, 7: uniform wires have zero correctors, so
+    # the cell value is the mean wire conductance, 17/4
+    w = [2, 3, 5, 7]
+    lines = ["# horizontal edges: h[i, j] = w(j)"] + [" ".join(map(str, w))] * 4
+    lines += ["# vertical edges: v[i, j] = w(i)"] + [" ".join([str(x)] * 4) for x in w]
+    path = tmp_path / "weave.txt"
+    path.write_text("\n".join(lines))
+    f = LatticeField.from_file(path)
+    assert exact_cell_hom_rational(f) == [[Fraction(17, 4), 0], [0, Fraction(17, 4)]]
 
 
 def test_published_value_decomposition():
     # 26.240099009901... = (1 + 100 + 2 * harmonic_mean(1, 100)) / 4
     hm = 2 * 1 * 100 / (1 + 100)
     assert (1 + 100 + 2 * hm) / 4 == pytest.approx(PUBLISHED_CELL_VALUE, abs=1e-12)
+
+
+@pytest.mark.parametrize("p, L", [("inf", 16.0), ("inf", 32.0), (0, 10.5), (3, 7.0)])
+def test_windowed_lattice_tensor_matches_all_edges(p, L):
+    # the window's edges carry every nonzero weight: summing over all box
+    # edges with the same correctors gives the same tensor
+    field, R, T, k = default_pattern(), 64, 8.0, 2
+    filt = build_filter(p)
+    corr = _box_correctors(field, R, T, k, np.eye(2), 1e-12)
+    coords = np.arange(-(R // 2), R // 2 + 1)
+    I1, I2 = np.meshgrid(coords, coords, indexing="ij")
+    ah, av = field.a_h(I1, I2), field.a_v(I1, I2)
+    X1, X2 = I1.astype(float), I2.astype(float)
+    wh = filt.weights_nd(np.stack([(X1[:-1] + 0.5).ravel(), X2[:-1].ravel()], axis=1), L).reshape(R, R + 1)
+    wv = filt.weights_nd(np.stack([X1[:, :-1].ravel(), (X2[:, :-1] + 0.5).ravel()], axis=1), L).reshape(R + 1, R)
+    g1 = [c.nodal[1:, :] - c.nodal[:-1, :] for c in corr]
+    g2 = [c.nodal[:, 1:] - c.nodal[:, :-1] for c in corr]
+    eye = np.eye(2)
+    ref = np.array([
+        [
+            (wh * ah[:-1] * (eye[a, 0] + g1[a]) * (eye[b, 0] + g1[b])).sum() / wh.sum()
+            + (wv * av[:, :-1] * (eye[a, 1] + g2[a]) * (eye[b, 1] + g2[b])).sum() / wv.sum()
+            for b in range(2)
+        ]
+        for a in range(2)
+    ])
+    got = lattice_hom(field, R, T, k, L, filt, rel_tol=1e-12)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()

@@ -18,14 +18,14 @@ from exhom.coeffs import catalog
 from exhom.corrector import richardson_combine
 from exhom.grid import (
     COARSE_DOFS,
-    DIRECT_DOFS,
     CorrectorOperator,
     DofVector,
     SolverError,
     SparseSystem,
     StructuredGrid,
+    _prolongation_1d,
     assemble,
-    gradient_field,
+    mass_matrix,
     solve,
 )
 from exhom.lattice import default_pattern, lattice_hom
@@ -97,6 +97,7 @@ def krylov_iterations(monkeypatch):
         (9, 9, "periodic", 0.0, "mat4"),
         (10, 6, "periodic", 0.0, "mat2"),
         (8, 13, "periodic", 0.7, "mat5"),
+        (2, 5, "periodic", 0.7, "mat4"),  # two neighbours wrap onto one node along x
     ],
 )
 def test_operator_matches_cellwise_assembly(nx, ny, bc, inv_T, name):
@@ -202,17 +203,42 @@ def test_equilibrated_solve_meets_the_tolerance_on_every_block():
 
 def test_coarsening_rule():
     mat2 = catalog("mat2")
-    # even grids halve while a level has more than COARSE_DOFS dofs
+    # grids halve while a level has more than COARSE_DOFS dofs
     op = CorrectorOperator.from_field(StructuredGrid.square(2.0, 24), mat2)
     assert [P.shape for P in op.prolongations] == [(23 * 23, 11 * 11)]
     op = CorrectorOperator.from_field(StructuredGrid.square(0.5, 64), mat2, "periodic")
     assert [P.shape[1] for P in op.prolongations] == [32 * 32, 16 * 16]
     assert 16 * 16 <= COARSE_DOFS
-    # an odd grid is one level: factorized up to DIRECT_DOFS, smoothed above
-    for n, factorized in ((17, True), (81, True), (131, False)):
+    # odd cell counts halve too, to ceil(n/2): 131 -> 66 -> 33 -> 17 cells
+    op = CorrectorOperator.from_field(StructuredGrid.square(2.0, 131), mat2)
+    assert [P.shape for P in op.prolongations] == [(130**2, 65**2), (65**2, 32**2), (32**2, 16**2)]
+    op = CorrectorOperator.from_field(StructuredGrid.from_box((0.0, 1.0, 0.0, 2.0), 45, 90), mat2, "periodic")
+    assert [P.shape for P in op.prolongations] == [(45 * 90, 23 * 45), (23 * 45, 12 * 23)]
+    # coarse node i sits at fine node min(2i, n): the last coarse cell is one fine cell wide
+    assert np.array_equal(
+        _prolongation_1d(5, "dirichlet0").toarray(), [[0.5, 0.0], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]
+    )
+    assert np.array_equal(
+        _prolongation_1d(5, "periodic").toarray(),
+        [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]],
+    )
+    # every bottom is factorized
+    for n in (17, 81, 131):
         system = CorrectorOperator.from_field(StructuredGrid.square(2.0, n), mat2).system(1.0, np.ones((n - 1) ** 2))
-        assert len(system.multigrid.levels) == 1
-        assert (system.multigrid.lu is not None) == factorized == ((n - 1) ** 2 <= DIRECT_DOFS)
+        assert system.multigrid.levels[-1].shape[0] <= COARSE_DOFS
+        assert system.multigrid.lu is not None
+
+
+def test_stiffness_and_mass_share_one_sorted_pattern():
+    for grid, bc in ((StructuredGrid.square(1.0, 12), "dirichlet0"),
+                     (StructuredGrid.from_box((0.0, 1.0, 0.0, 2.0), 9, 2), "periodic")):
+        op = CorrectorOperator.from_field(grid, catalog("mat4"), bc)
+        assert np.shares_memory(op.K.indices, op.M.indices) and np.shares_memory(op.K.indptr, op.M.indptr)
+        assert op.K.has_canonical_format
+        M = op.M.copy()
+        op.systems(0.5, [op.rhs((1.0, 0.0))])  # in-place canonicalization would corrupt M
+        assert (op.M != M).nnz == 0
+        assert (op.M != mass_matrix(grid, bc)).nnz == 0
 
 
 @pytest.mark.parametrize("name, inv_T, bound", [("mat2", 1.0, 12), ("mat4", 0.0, 8)])
@@ -230,13 +256,18 @@ def test_multigrid_iterations_bounded_under_refinement(krylov_iterations, name, 
     assert max(counts) <= bound, counts
 
 
-def test_grid_that_cannot_coarsen_still_solves():
-    grid = StructuredGrid.square(2.0, 131)
-    op = CorrectorOperator.from_field(grid, catalog("mat2"))
-    system = op.system(4.0, op.rhs((1.0, 0.0)))
-    assert system.multigrid.lu is None  # the coarsest level is too large to factorize
-    u = solve(system, rel_tol=1e-8)
-    assert np.linalg.norm(system.rhs - system.matrix @ u.values) <= 1e-8 * np.linalg.norm(system.rhs)
+def test_odd_grid_halves_and_solves_in_few_iterations(krylov_iterations):
+    # 322 cells halve to 161, 81, 41 and 21: before odd grids halved, the
+    # 161-cell level was a 25600-dof bottom that was only smoothed, and the
+    # two directions at 1/T = 4 took 306 CG iterations (131 cells: 368)
+    for n in (322, 131):
+        op = CorrectorOperator.from_field(StructuredGrid.square(4.0 * n / 322, n), catalog("mat2"))
+        assert len(op.prolongations) >= 3
+        krylov_iterations[0] = 0
+        for system in op.systems(4.0, [op.rhs(xi) for xi in np.eye(2)]):
+            u = solve(system, rel_tol=1e-8)
+            assert np.linalg.norm(system.rhs - system.matrix @ u.values) <= 1e-8 * np.linalg.norm(system.rhs)
+        assert krylov_iterations[0] <= 30, (n, krylov_iterations[0])
 
 
 def test_system_without_grid_is_a_direct_solve(krylov_iterations):
@@ -263,13 +294,14 @@ def test_bundle_tensor_matches_jacobi_reference(name, T, k):
                 A, b = _reference_system(grid, eff, inv_T, np.eye(2)[d], "dirichlet0")
                 x0 = _jacobi_krylov(A, b, 1e-10, symmetric=field.is_symmetric, x0=x0)
                 base.append(x0)
-            grads[dual, d] = gradient_field(DofVector(richardson_combine(base), grid, "dirichlet0"))
+            grads[dual, d] = DofVector(richardson_combine(base), grid, "dirichlet0")
     filt = build_filter(4)
     A_q = field(grid.quad_points())
     ref = _tensor_from_gradients(grid, A_q, [grads[False, d] for d in range(2)],
                                  [grads[True, d] for d in range(2)], filt, 1.0, project=True)[0]
-    gp, gd = bundle.gradients_at_quad()
-    got = _tensor_from_gradients(grid, bundle.A_q, gp, gd, filt, 1.0, project=True)[0]
+    primal = [s.u for s in bundle.primal]
+    dual = primal if bundle.dual is bundle.primal else [s.u for s in bundle.dual]
+    got = _tensor_from_gradients(grid, bundle.A_q, primal, dual, filt, 1.0, project=True)[0]
     assert np.abs(got - ref).max() <= 1e-7 * np.abs(ref).max()
 
 
