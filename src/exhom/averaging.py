@@ -29,7 +29,7 @@ import numpy as np
 
 from .coeffs import CoefficientField
 from .corrector import extrapolate, solve_ladder
-from .grid import CorrectorOperator, StructuredGrid, gradient_field
+from .grid import CorrectorOperator, StructuredGrid, _gradients
 
 __all__ = [
     "Filter",
@@ -148,11 +148,22 @@ class Filter:
         abscissa and the weights are their outer product, with the same
         arithmetic as `weights_nd`.
         """
-        xs, ys = grid.quad_axes()
-        wx = self.profile((xs - center[0]) / L)  # (nx, x side)
-        wy = self.profile((ys - center[1]) / L)  # (ny, y side)
-        sx, sy = _support(wx), _support(wy)
-        return (sx, sy), (wx[sx, None, None, :] * wy[None, sy, :, None] / L**2).ravel()
+        return self.windows([grid], L, [center])[0]
+
+    def windows(self, grids, L: float, centers) -> list:
+        """`window` on each of several grids of one shape, each around its own center.
+
+        The profile is evaluated in one call over every grid's abscissae.
+        """
+        c = np.asarray(centers, dtype=float)
+        axes = [g.quad_axes() for g in grids]
+        wx = self.profile((np.stack([xs for xs, _ in axes]) - c[:, 0, None, None]) / L)  # (grid, nx, x side)
+        wy = self.profile((np.stack([ys for _, ys in axes]) - c[:, 1, None, None]) / L)  # (grid, ny, y side)
+        out = []
+        for x, y in zip(wx, wy):
+            sx, sy = _support(x), _support(y)
+            out.append(((sx, sy), (x[sx, None, None, :] * y[None, sy, :, None] / L**2).ravel()))
+        return out
 
 
 def _support(values: np.ndarray) -> slice:
@@ -303,39 +314,69 @@ def _tensor_from_gradients(
     """Windowed tensor from the level-k correctors and A at the grid's Gauss points.
 
     `primal` and `dual` hold the correctors for xi = e1, e2 as DofVectors on
-    `grid` (`dual` is `primal` for symmetric fields).  Only the filter's
-    window is visited: A, the gradients, their means and the contraction
-    are restricted to the block of cells where mu_L is nonzero.
+    `grid` (`dual` is `primal` for symmetric fields).  Returns the tensor,
+    the least eigenvalue of its symmetric part, the filtered gradient means
+    and the filter mass (`_window_tensors` on a batch of one).
     """
-    if center is None:
-        center = grid.center
-    cells, w = filt.window(grid, L, center)
-    w *= grid.quad_weight()
-    mass = float(w.sum())
-    if mass <= 0.0:
-        raise ValueError("filter mass vanishes on the grid")
-    wn = w / mass
-    A_w = A_q.reshape(grid.nx, grid.ny, 4, 2, 2)[cells].reshape(-1, 2, 2)
+    vp = np.stack([u.values for u in primal])[:, None]
+    vd = vp if dual is primal else np.stack([u.values for u in dual])[:, None]
+    center = grid.center if center is None else center
+    mats, mp, md, masses = _window_tensors([grid], primal[0].bc, A_q, vp, vd, filt, L, [center], project)
+    mat = mats[0]
+    min_eig = float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min())
+    return mat, min_eig, {"primal": list(mp[0]), "dual": list(md[0])}, float(masses[0])
 
-    # (direction, point, axis) gradients on the window
-    gp = np.stack([gradient_field(u, cells) for u in primal])
-    gd = gp if dual is primal else np.stack([gradient_field(u, cells) for u in dual])
-    mp = np.array([wn @ g for g in gp])
-    md = mp if gd is gp else np.array([wn @ g for g in gd])
-    means = {"primal": list(mp), "dual": list(md)}
-    eye = np.eye(2)[:, None, :]
-    fp = eye + (gp - mp[:, None] if project else gp)
-    fd = fp if gd is gp else eye + (gd - md[:, None] if project else gd)
-    # mat[j, i] = sum_q wn_q (e_j + grad phi'_j) . A (e_i + grad phi_i): row j tests
-    # with the dual corrector of xi' = e_j
-    afp = np.einsum("qab,iqb->iqa", A_w, fp)
-    mat = np.einsum("jqa,iqa->ji", fd * wn[:, None], afp)
-    sym = 0.5 * (mat + mat.T)
-    min_eig = float(np.linalg.eigvalsh(sym).min())
-    return mat, min_eig, means, mass
+
+def _window_tensors(grids, bc, A_q, primal, dual, filt, L, centers, project):
+    """Windowed tensors of grids of one shape, each around its own center.
+
+    `primal` and `dual` stack the free-dof values of the correctors for
+    xi = e1, e2, (direction, grid, dof) (`dual` is `primal` for symmetric
+    fields), and `A_q` holds A at every grid's Gauss points.  Only each
+    filter's window is visited: A, the gradients, their means and the
+    contraction are restricted to the block of cells where mu_L is
+    nonzero, and the grids whose windows cover the same block are
+    contracted together.  Returns the tensors (B, 2, 2), the primal and
+    dual gradient means (B, direction, axis) and the filter masses (B,).
+    """
+    B, nx, ny = len(grids), grids[0].nx, grids[0].ny
+    windows = filt.windows(grids, L, centers)
+    groups = {}
+    for b, ((sx, sy), _) in enumerate(windows):
+        groups.setdefault((sx.start, sx.stop, sy.start, sy.stop), []).append(b)
+    A_q = A_q.reshape(B, nx, ny, 4, 2, 2)
+    mats, means_p, masses = np.empty((B, 2, 2)), np.empty((B, 2, 2)), np.empty(B)
+    means_d = means_p if dual is primal else np.empty((B, 2, 2))
+    eye = np.eye(2)[:, :, None]
+    for idx in groups.values():
+        sx, sy = cells = windows[idx[0]][0]
+        sub = [grids[b] for b in idx]
+        w = np.stack([windows[b][1] * grids[b].quad_weight() for b in idx])
+        mass = w.sum(axis=1)
+        if not np.all(mass > 0.0):
+            raise ValueError("filter mass vanishes on the grid")
+        wn = w / mass[:, None]
+        # A on the window, (grid, row, column, point), and the (grid, direction,
+        # axis, point) gradients: every product runs along the points
+        A_w = A_q[idx, sx, sy].reshape(len(idx), -1, 4).transpose(0, 2, 1).reshape(len(idx), 2, 2, -1)
+        gp = np.stack([_gradients(v[idx], sub, bc, cells) for v in primal], axis=1)
+        gd = gp if dual is primal else np.stack([_gradients(v[idx], sub, bc, cells) for v in dual], axis=1)
+        mp = (gp @ wn[:, None, :, None])[..., 0]
+        md = mp if gd is gp else (gd @ wn[:, None, :, None])[..., 0]
+        fp = eye + (gp - mp[..., None] if project else gp)
+        fd = fp if gd is gp else eye + (gd - md[..., None] if project else gd)
+        # mat[j, i] = sum_q wn_q (e_j + grad phi'_j) . A (e_i + grad phi_i): row j tests
+        # with the dual corrector of xi' = e_j
+        afp = A_w[:, None, :, 0] * fp[:, :, None, 0] + A_w[:, None, :, 1] * fp[:, :, None, 1]
+        fdw = (fd * wn[:, None, None, :]).reshape(len(idx), 2, -1)
+        mats[idx] = fdw @ afp.reshape(len(idx), 2, -1).transpose(0, 2, 1)
+        means_p[idx], means_d[idx], masses[idx] = mp, md, mass
+    return mats, means_p, means_d, masses
 
 
 def _hom_tensor(field, R, n, T, k, L, filt, rel_tol, project, bundle=None):
+    if L > R:
+        raise ValueError(f"averaging window L={L} exceeds the box half-width R={R}")
     grid = StructuredGrid.square(R, n)
     if bundle is None:
         bundle = solve_corrector_bundle(field, grid, T, k, rel_tol=rel_tol)

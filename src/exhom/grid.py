@@ -9,11 +9,15 @@ the zero-order term vanishes).
 A `CorrectorOperator` is built once per (field, grid, bc).  It evaluates A
 at the quadrature points once, sums the cell stiffness matrices (one
 (cells, 16) @ (16, 16) product) into the nine-point stiffness K on the free
-dofs, and holds the mass M and the loads -int grad(psi) . A e_i.  K and M
-are filled on one sparsity pattern, built (and, on periodic grids, sorted)
-once per operator, so they share their index arrays.  Every zero-order
-shift s = 1/T is then the system (K + s M) x = b, so a dyadic ladder in T
-re-assembles nothing.
+dofs, and holds the mass M and the loads -int grad(psi) . A e_i.  The mass
+of a uniform grid is a Kronecker product of 1-D factors,
+M = diag(w) (x) Mx (x) My: for Q1 the 1-D P1 masses of unit cells with
+w = hx hy, for the lattice identity factors with w = 1.  It is written from
+its 1-D factors straight onto the nine-point rows, with no pass over the
+cells.  K and M are filled on one sparsity pattern, built (and, on periodic
+grids, sorted) once per level, so they share their index arrays.  Every
+zero-order shift s = 1/T is then the system (K + s M) x = b, a sum of data
+arrays, so a dyadic ladder in T re-assembles nothing.
 
 The assembly carries a leading batch axis: an operator is built for a
 batch of grids that share their cell counts (nx, ny) and bc, each with its
@@ -27,17 +31,21 @@ about 0.8 KB per dof while it is assembled, so callers bound its size
 
 `solve` is the one Krylov entry point: conjugate gradients for symmetric
 systems, BiCGStab otherwise, preconditioned by a geometric multigrid
-V-cycle.  The hierarchy halves the grid (bilinear prolongation P, wrapping
-around on periodic grids) while both cell counts are at least 4 and the
-level has more than `COARSE_DOFS` dofs; an odd count n halves to
-ceil(n/2), the last coarse cell one fine cell wide.  Coarse operators are
-Galerkin products P^T K P and P^T M P, built once per operator with the
-restrictions P^T, so a shift costs one sparse sum per level.  Each level
-smooths with damped Jacobi and the coarsest is factorized: it is small,
-or under 4 cells wide, so no large grid is ever factorized whole.  A
-system without a hierarchy is a single level, a direct solve.  A batch
-halves alike in every block, so its prolongations are I_B (x) P and every
-level stays block-diagonal.  The solve of a batched system is
+V-cycle.  The hierarchy halves the grid (bilinear prolongation P = Px (x)
+Py, wrapping around on periodic grids) while both cell counts are at least
+4 and the level has more than `COARSE_DOFS` dofs; an odd count n halves to
+ceil(n/2), the last coarse cell one fine cell wide.  Coarse stiffnesses are
+Galerkin products P^T K P; coarse masses are Galerkin products of the 1-D
+factors, diag(w) (x) Px^T Mx Px (x) Py^T My Py, which equal P^T M P with no
+two-dimensional product.  Both are built once per operator, on the coarse
+grid's nine-point pattern, so a shift costs one sum of data arrays per
+level.  Each level smooths with damped Jacobi and the coarsest is factorized
+as a band LU (LAPACK gbtrf), its dofs numbered along the grid's longer axis
+so that the band is the shorter free extent of a block: it is small, or
+under 4 cells wide, so no large grid is ever factorized whole.  A system
+without a hierarchy is a single level, a band LU in its own numbering.  A
+batch halves alike in every block, so its prolongations are I_B (x) P and
+every level stays block-diagonal.  The solve of a batched system is
 equilibrated, so each block meets the tolerance relative to its own
 right-hand side (see `solve`).
 """
@@ -52,6 +60,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .coeffs import CoefficientField
 
@@ -217,21 +226,24 @@ class DofVector:
 
     def nodal(self) -> np.ndarray:
         """Expand to the full (nx+1, ny+1) nodal array."""
-        g = self.grid
-        if self.bc == "dirichlet0":
-            out = np.zeros((g.nx + 1, g.ny + 1))
-            inner = self.values.reshape(g.nx - 1, g.ny - 1)
-            out[1:-1, 1:-1] = inner
-            return out
-        vals = self.values
-        if self.pinned:
-            vals = np.concatenate([[0.0], vals])
-        per = vals.reshape(g.nx, g.ny)
-        out = np.empty((g.nx + 1, g.ny + 1))
-        out[: g.nx, : g.ny] = per
-        out[g.nx, : g.ny] = per[0]
-        out[:, g.ny] = out[:, 0]
+        return _nodal(self.values[None], self.grid.nx, self.grid.ny, self.bc, self.pinned)[0]
+
+
+def _nodal(values: np.ndarray, nx: int, ny: int, bc: str, pinned: bool = False) -> np.ndarray:
+    """(B, nx+1, ny+1) nodal arrays of B stacked free-dof vectors, (B, nfree)."""
+    B = values.shape[0]
+    if bc == "dirichlet0":
+        out = np.zeros((B, nx + 1, ny + 1))
+        out[:, 1:-1, 1:-1] = values.reshape(B, nx - 1, ny - 1)
         return out
+    if pinned:
+        values = np.concatenate([np.zeros((B, 1)), values], axis=1)
+    per = values.reshape(B, nx, ny)
+    out = np.empty((B, nx + 1, ny + 1))
+    out[:, :nx, :ny] = per
+    out[:, nx, :ny] = per[:, 0]
+    out[:, :, ny] = out[:, :, 0]
+    return out
 
 
 # ----------------------------------------------------------------------------
@@ -341,15 +353,10 @@ def _stencil_data(grids, bc: str, local: np.ndarray) -> np.ndarray:
     """Sum cell matrices into (B * n, 9) nine-point rows on the free dofs.
 
     `local` holds one 4x4 matrix per cell of every grid (B * ncells * 16
-    values, grid- then cell-major), or one (4, 4) matrix per grid shared by
-    all of its cells, (B, 4, 4).  Periodic rows are unpinned.
+    values, grid- then cell-major).  Periodic rows are unpinned.
     """
     B, nx, ny = len(grids), grids[0].nx, grids[0].ny
-    shape = (B, nx, ny, 4, 4)
-    if local.size == 16 * B:
-        local = np.broadcast_to(local.reshape(B, 1, 1, 4, 4), shape)
-    else:
-        local = local.reshape(shape)
+    local = local.reshape(B, nx, ny, 4, 4)
     stencil = np.zeros((B, nx + 1, ny + 1, 3, 3))  # grid, node, neighbour offset (dx + 1, dy + 1)
     for l, (ax, ay) in enumerate(_NODE_OFFSETS):
         for m, (bx, by) in enumerate(_NODE_OFFSETS):
@@ -357,30 +364,66 @@ def _stencil_data(grids, bc: str, local: np.ndarray) -> np.ndarray:
     return _free_part(stencil, bc).reshape(-1, 9)
 
 
-def _stencil_matrices(grids, bc: str, locals_) -> list:
-    """Block-diagonal nine-point CSR matrices, one per array of cell matrices.
+def _stencil_matrices(nx: int, ny: int, bc: str, B: int, rows) -> list:
+    """Block-diagonal nine-point CSR matrices, one per array of nine-point rows.
 
-    The matrices share one pattern, built once: their `indices` and
-    `indptr` are the same memory, sorted and free of duplicates (so no
-    in-place canonicalization ever rewrites them), and `K + s M` is a sum
-    of data arrays (`_shifted`).
+    Each entry of `rows` is laid out like `_stencil_data`, (B * n, 9).  The
+    matrices share one pattern, built once: their `indices` and `indptr`
+    are the same memory, sorted and free of duplicates (so no in-place
+    canonicalization ever rewrites them), and `K + s M` is a sum of data
+    arrays (`_shifted`).
     """
-    B, nx, ny = len(grids), grids[0].nx, grids[0].ny
     indices, indptr, slots, starts = _stencil_pattern(nx, ny, bc, B)
     size = B * _n_free(nx, ny, bc)
     out = []
-    for local in locals_:
-        data = _stencil_data(grids, bc, local).ravel()[slots]
+    for r in rows:
+        data = r.ravel()[slots]
         if starts is not None:
             data = np.add.reduceat(data, starts)
         out.append(sp.csr_matrix((data, indices, indptr), shape=(size, size)))
     return out
 
 
-def _mass_local(grids) -> np.ndarray:
-    """(B, 4, 4) cell mass matrix of each grid."""
-    w = _quad_weights(grids)[:, None, None]
-    return sum(w * np.outer(N, N) for N in (_shape_values(*gp)[0] for gp in GAUSS_POINTS))
+def _mass_1d(n: int, bc: str) -> sp.csr_matrix:
+    """P1 mass matrix of n unit cells on the bc's free nodes."""
+    i = np.arange(n)
+    rows = np.concatenate([i, i, i + 1, i + 1])
+    cols = np.concatenate([i, i + 1, i, i + 1])
+    vals = np.repeat([1.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0, 1.0 / 3.0], n)
+    if bc == "periodic":  # node n is node 0
+        return sp.csr_matrix((vals, (rows % n, cols % n)), shape=(n, n))
+    free = (rows % n > 0) & (cols % n > 0)  # drop the boundary nodes 0 and n
+    return sp.csr_matrix((vals[free], (rows[free] - 1, cols[free] - 1)), shape=(n - 1, n - 1))
+
+
+def _q1_mass_factors(grids, bc: str) -> tuple:
+    """(w, Mx, My) of the Q1 mass diag(w) (x) Mx (x) My: P1 masses of unit cells, w = hx hy."""
+    nx, ny = grids[0].nx, grids[0].ny
+    Mx = _mass_1d(nx, bc)
+    return np.array([g.hx * g.hy for g in grids]), Mx, Mx if ny == nx else _mass_1d(ny, bc)
+
+
+def _offset_table(F: sp.spmatrix, bc: str) -> np.ndarray:
+    """(n, 3) table of a tridiagonal (on periodic grids cyclic) 1-D matrix by offset.
+
+    Entry [i, d + 1] is F[i, i + d].  On a periodic axis of two nodes both
+    neighbours are one node; its entry sits at offset -1, and the nine-point
+    pattern sums the two offsets (`_stencil_pattern`).
+    """
+    F = F.tocoo()
+    d = F.col - F.row
+    if bc == "periodic":
+        d = (d + 1) % F.shape[0] - 1
+    table = np.zeros((F.shape[0], 3))
+    table[F.row, d + 1] = F.data
+    return table
+
+
+def _mass_rows(factors, bc: str) -> np.ndarray:
+    """Nine-point rows (B * n, 9) of diag(w) (x) Mx (x) My, laid out like `_stencil_data`."""
+    w, Mx, My = factors
+    tx, ty = _offset_table(Mx, bc), _offset_table(My, bc)
+    return (w[:, None] * (tx[:, None, :, None] * ty[:, None, :]).reshape(1, -1)).reshape(-1, 9)
 
 
 def _q1_stiffness_local(grids, A_q: np.ndarray) -> np.ndarray:
@@ -417,44 +460,65 @@ def _prolongation_1d(n: int, bc: str) -> sp.csr_matrix:
     if bc == "periodic":  # node n is node 0, coarse node nc is coarse node 0
         keep = rows < n
         return sp.csr_matrix((vals[keep], (rows[keep], cols[keep] % nc)), shape=(n, nc))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n + 1, nc + 1))[1:n, 1:nc]
+    free = (rows % n > 0) & (cols % nc > 0)  # drop the boundary nodes
+    return sp.csr_matrix((vals[free], (rows[free] - 1, cols[free] - 1)), shape=(n - 1, nc - 1))
 
 
-def _prolongations(grids, bc: str) -> list:
-    """Prolongations of the grids' halving hierarchy, finest first.
-
-    Every grid of a batch halves alike, so a batch of B grids prolongs by
-    I_B (x) P, and its levels stay block-diagonal.
-    """
-    out = []
-    nx, ny = grids[0].nx, grids[0].ny
+def _hierarchy(nx: int, ny: int, bc: str) -> tuple:
+    """Cell counts of the halving hierarchy, finest first, and its 1-D prolongations (Px, Py)."""
+    shapes, prolongations = [(nx, ny)], []
     while min(nx, ny) >= 4 and _n_free(nx, ny, bc) > COARSE_DOFS:
-        P = sp.kron(_prolongation_1d(nx, bc), _prolongation_1d(ny, bc), format="csr")
-        out.append(P if len(grids) == 1 else sp.kron(sp.identity(len(grids)), P, format="csr"))
+        px = _prolongation_1d(nx, bc)
+        prolongations.append((px, px if ny == nx else _prolongation_1d(ny, bc)))
         nx, ny = (nx + 1) // 2, (ny + 1) // 2
-    return out
+        shapes.append((nx, ny))
+    return shapes, prolongations
 
 
-def _galerkin(A: sp.csr_matrix, prolongations, restrictions) -> list:
-    """[P0^T A P0, P1^T P0^T A P0 P1, ...], the levels below A."""
-    levels = []
-    for P, R in zip(prolongations, restrictions):
-        A = (R @ A @ P).tocsr()
-        levels.append(A)
-    return levels
+def _block_diag(A: sp.csr_matrix, B: int) -> sp.csr_matrix:
+    """I_B (x) A, by tiling A's CSR arrays."""
+    if B == 1:
+        return A
+    b = np.arange(B)[:, None]
+    indptr = np.append((A.indptr[:-1] + A.nnz * b).ravel(), B * A.nnz)
+    indices = (A.indices + A.shape[1] * b).ravel()
+    return sp.csr_matrix((np.tile(A.data, B), indices, indptr), shape=(B * A.shape[0], B * A.shape[1]))
+
+
+def _on_pattern(A: sp.spmatrix, pattern: sp.csr_matrix) -> sp.csr_matrix:
+    """A stored on `pattern`'s index arrays; every nonzero of A must be an entry of `pattern`.
+
+    `pattern` is sorted and free of duplicates.  A matrix may hold fewer
+    entries than the pattern (a Galerkin product drops the entries that
+    cancel exactly; the lattice's identity mass sits on its five-point
+    stiffness pattern); those are scattered into it, the rest are zeros.
+    """
+    A = A.tocsr()
+    A.sum_duplicates()
+    if np.array_equal(A.indptr, pattern.indptr) and np.array_equal(A.indices, pattern.indices):
+        data = A.data
+    else:
+        A.eliminate_zeros()
+        have, want = _entry_keys(pattern), _entry_keys(A)
+        at = np.minimum(np.searchsorted(have, want), have.size - 1)
+        if not np.array_equal(have[at], want):
+            raise ValueError("the pattern does not hold every nonzero of the matrix")
+        data = np.zeros(pattern.nnz)
+        data[at] = A.data
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+
+
+def _entry_keys(A: sp.csr_matrix) -> np.ndarray:
+    """row * ncols + column of every stored entry, in storage order."""
+    rows = np.repeat(np.arange(A.shape[0], dtype=np.int64), np.diff(A.indptr))
+    return rows * A.shape[1] + A.indices
 
 
 def _shifted(K: sp.csr_matrix, M: sp.csr_matrix, s: float) -> sp.csr_matrix:
-    """K + s M, stored on K's index arrays when M has the same pattern.
-
-    Sharing the pattern skips scipy's general sparse sum and its temporaries:
-    on the R=320 lattice box it keeps the peak RSS 4 MB lower (134 vs 138 MB).
-    """
+    """K + s M on K's index arrays, which M shares (`CorrectorOperator`)."""
     if s == 0.0:
         return K
-    if np.array_equal(K.indptr, M.indptr) and np.array_equal(K.indices, M.indices):
-        return sp.csr_matrix((K.data + s * M.data, K.indices, K.indptr), shape=K.shape)
-    return (K + s * M).tocsr()
+    return sp.csr_matrix((K.data + s * M.data, K.indices, K.indptr), shape=K.shape)
 
 
 def _pin(A: sp.csr_matrix) -> sp.csr_matrix:
@@ -462,19 +526,77 @@ def _pin(A: sp.csr_matrix) -> sp.csr_matrix:
     return A[1:, 1:].tocsr()
 
 
+def _fold(n: int) -> np.ndarray:
+    """0, n-1, 1, n-2, ...: a cyclic axis in an order that keeps neighbours within two places."""
+    out = np.empty(n, dtype=np.intp)
+    out[0::2] = np.arange((n + 1) // 2)
+    out[1::2] = np.arange(n - 1, (n + 1) // 2 - 1, -1)
+    return out
+
+
+def _band_order(nx: int, ny: int, bc: str, blocks: int, pinned: bool = False) -> np.ndarray:
+    """Dof numbering of a level (`order[i]` is the dof placed i-th) that keeps its band narrow.
+
+    Each block runs along its longer free axis, the shorter one varying
+    fastest, so a coupling spans at most about one short extent: the band
+    of a thin grid stays thin.  Periodic axes are folded (`_fold`), so the
+    wrap-around neighbours stay within two places too.
+    """
+    mx, my = (nx, ny) if bc == "periodic" else (nx - 1, ny - 1)
+    ix, iy = (_fold(mx), _fold(my)) if bc == "periodic" else (np.arange(mx), np.arange(my))
+    dof = ix[:, None] * my + iy[None, :]  # natural numbering is x-major
+    order = (dof if mx >= my else dof.T).ravel()
+    if pinned:  # dof 0 is gone, the others move down by one
+        order = order[order != 0] - 1
+    n = order.size
+    return (order + n * np.arange(blocks)[:, None]).ravel()
+
+
+class _BandLU:
+    """LU factors of a sparse matrix in LAPACK band storage (gbtrf, partial pivoting).
+
+    `order` (None: the matrix's own numbering) places the dofs; kl and ku,
+    the widest couplings below and above the diagonal in that numbering,
+    set the storage, (2 kl + ku + 1) x n, and the cost, n kl (kl + ku).
+    """
+
+    def __init__(self, A: sp.spmatrix, order: Optional[np.ndarray] = None):
+        A = A.tocoo()
+        A.sum_duplicates()  # a copy: the caller's matrix is left as it is
+        n = A.shape[0]
+        self.order = np.arange(n) if order is None else order
+        place = np.empty(n, dtype=np.intp)
+        place[self.order] = np.arange(n)
+        r, c = place[A.row], place[A.col]
+        self.kl, self.ku = int(max(0, (r - c).max(initial=0))), int(max(0, (c - r).max(initial=0)))
+        ab = np.zeros((2 * self.kl + self.ku + 1, n), order="F")
+        ab[self.kl + self.ku + r - c, c] = A.data
+        self.lu, self.piv, info = lapack.dgbtrf(ab, self.kl, self.ku, overwrite_ab=1)
+        if info != 0:
+            raise SolverError(f"band LU of the coarsest level failed (gbtrf info {info}): singular matrix")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        y, info = lapack.dgbtrs(self.lu, self.kl, self.ku, b[self.order], self.piv)
+        x = np.empty_like(y)
+        x[self.order] = y
+        return x
+
+
 class Multigrid:
     """Symmetric V-cycle on levels A_0 (finest) ... A_L, used as M^{-1}.
 
     One damped-Jacobi sweep before and one after each coarse correction,
-    restriction by the given R_l = P_l^T; the coarsest level is solved by
-    LU.  Symmetric levels give a symmetric preconditioner.
+    restriction by the given R_l = P_l^T; the coarsest level is solved by a
+    band LU (`_BandLU`) in the dof numbering `order`, which the operator
+    picks from the level's grid (`_band_order`).  Symmetric levels give a
+    symmetric preconditioner.
     """
 
-    def __init__(self, levels, prolongations=(), restrictions=()):
+    def __init__(self, levels, prolongations=(), restrictions=(), order=None):
         self.levels = levels
         self.P, self.R = prolongations, restrictions
         self.dinv = [_JACOBI_WEIGHT / A.diagonal() for A in levels[:-1]]
-        self.lu = spla.splu(levels[-1].tocsc())
+        self.lu = _BandLU(levels[-1], order)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return self._cycle(0, np.ravel(r))
@@ -503,27 +625,36 @@ class CorrectorOperator:
     them all.  A single grid is a batch of one; `grid` is that grid, and
     None on larger batches (`split` views a stacked vector per grid).
 
-    Holds the stiffness K and the mass M on one shared pattern, the loads
-    b_i for xi = e_i (rhs for any xi is xi . b), the prolongations and
-    their transposes (the restrictions) and, once a system is requested,
-    the Galerkin coarse K and M.  `A_q` is the coefficient at the
-    quadrature points, (B * ncells, 4, 2, 2), when the operator was built
-    from a field.  The operator keeps no shifted matrices: each call of
-    `systems` builds one shift's hierarchy, shared by the systems it
-    returns.
+    Holds the stiffness K, the mass M on K's index arrays and the 1-D
+    factors of M, `mass_factors` = (w, Mx, My) with M = diag(w) (x) Mx (x)
+    My, one weight per grid: P1 masses for Q1 (`from_field`), identities
+    for the lattice.  Also the loads b_i for xi = e_i (rhs for any xi is
+    xi . b), the prolongations I_B (x) Px (x) Py and their transposes (the
+    restrictions) and, once a system is requested, the coarse levels: the
+    Galerkin stiffness P^T K P and the mass from the 1-D Galerkin factors,
+    sharing the coarse grid's nine-point pattern.  `A_q` is the coefficient
+    at the quadrature points, (B * ncells, 4, 2, 2), when the operator was
+    built from a field.  The operator keeps no shifted matrices: each call
+    of `systems` builds one shift's hierarchy, shared by the systems it
+    returns, on a band LU of its coarsest level.
     """
 
-    def __init__(self, grids, bc, stiffness, mass, loads, symmetric, A_q=None):
+    def __init__(self, grids, bc, stiffness, mass, mass_factors, loads, symmetric, A_q=None):
         _check_bc(bc)
         self.grids, self.bc = _batch(grids), bc
         self.grid = self.grids[0] if len(self.grids) == 1 else None
-        self.K, self.M = stiffness, mass
+        if not (np.array_equal(stiffness.indptr, mass.indptr) and np.array_equal(stiffness.indices, mass.indices)):
+            raise ValueError("K and M must share one sparsity pattern")
+        self.K, self.M, self.mass_factors = stiffness, mass, mass_factors
         self.loads = loads
         self.symmetric = bool(symmetric)
         self.A_q = A_q
-        self.prolongations = _prolongations(self.grids, bc)
-        self.restrictions = [P.T.tocsr() for P in self.prolongations]
-        self._coarse = None  # Galerkin (K levels, M levels) below the finest
+        B = len(self.grids)
+        self.shapes, self._prolongations_1d = _hierarchy(self.grids[0].nx, self.grids[0].ny, bc)
+        P = [sp.kron(px, py, format="csr") for px, py in self._prolongations_1d]
+        self.prolongations = [_block_diag(p, B) for p in P]
+        self.restrictions = [_block_diag(p.T.tocsr(), B) for p in P]
+        self._coarse = None  # [(K_l, M_l)] below the finest, on shared patterns
 
     @classmethod
     def from_field(cls, grids, field: CoefficientField, bc: str = "dirichlet0"):
@@ -531,8 +662,26 @@ class CorrectorOperator:
         grids = _batch(grids)
         points = grids[0].quad_points() if len(grids) == 1 else np.concatenate([g.quad_points() for g in grids])
         A_q = field(points).reshape(-1, 4, 2, 2)
-        K, M = _stencil_matrices(grids, bc, [_q1_stiffness_local(grids, A_q), _mass_local(grids)])
-        return cls(grids, bc, K, M, _q1_loads(grids, bc, A_q), field.is_symmetric, A_q=A_q)
+        factors = _q1_mass_factors(grids, bc)
+        K, M = _stencil_matrices(
+            grids[0].nx, grids[0].ny, bc, len(grids),
+            [_stencil_data(grids, bc, _q1_stiffness_local(grids, A_q)), _mass_rows(factors, bc)],
+        )
+        return cls(grids, bc, K, M, factors, _q1_loads(grids, bc, A_q), field.is_symmetric, A_q=A_q)
+
+    def _coarse_levels(self) -> list:
+        """(K_l, M_l) below the finest: Galerkin K, and M from the 1-D Galerkin factors."""
+        w, Mx, My = self.mass_factors
+        K, out = self.K, []
+        levels = zip(self.shapes[1:], self._prolongations_1d, self.prolongations, self.restrictions)
+        for (nx, ny), (px, py), P, R in levels:
+            square = py is px and My is Mx  # one 1-D product serves both axes
+            Mx = px.T @ Mx @ px
+            My = Mx if square else py.T @ My @ py
+            (M,) = _stencil_matrices(nx, ny, self.bc, len(self.grids), [_mass_rows((w, Mx, My), self.bc)])
+            K = _on_pattern(R @ K @ P, M)
+            out.append((K, M))
+        return out
 
     def transpose(self) -> "CorrectorOperator":
         """The operator of the transpose field A^T (dual correctors).
@@ -543,10 +692,10 @@ class CorrectorOperator:
             return self
         t = copy.copy(self)
         t.A_q = np.swapaxes(self.A_q, -1, -2)
-        t.K = self.K.T.tocsr()
+        t.K = _on_pattern(self.K.T, self.M)
         t.loads = _q1_loads(self.grids, self.bc, t.A_q)
         if self._coarse is not None:
-            t._coarse = [[Kc.T.tocsr() for Kc in self._coarse[0]], self._coarse[1]]
+            t._coarse = [(_on_pattern(Kc.T, Mc), Mc) for Kc, Mc in self._coarse]
         return t
 
     def split(self, values: np.ndarray) -> list:
@@ -574,13 +723,12 @@ class CorrectorOperator:
         if pinned and self.grid is None:
             raise ValueError("a batch of periodic grids needs a positive shift (no pinning)")
         if self._coarse is None:
-            self._coarse = [_galerkin(A, self.prolongations, self.restrictions) for A in (self.K, self.M)]
-        coarse = [_shifted(Kc, Mc, inv_T) for Kc, Mc in zip(*self._coarse)]
-        levels = [self.matrix(inv_T)] + coarse
+            self._coarse = self._coarse_levels()
+        levels = [self.matrix(inv_T)] + [_shifted(Kc, Mc, inv_T) for Kc, Mc in self._coarse]
         P, R = self.prolongations, self.restrictions
         if pinned:
             levels, P, R = ([_pin(A) for A in mats] for mats in (levels, P, R))
-        mg = Multigrid(levels, P, R)
+        mg = Multigrid(levels, P, R, _band_order(*self.shapes[-1], self.bc, len(self.grids), pinned))
         return [
             SparseSystem(
                 matrix=levels[0], rhs=b[1:] if pinned else b, symmetric=self.symmetric,
@@ -620,9 +768,9 @@ def assemble(
 
 
 def mass_matrix(grid: StructuredGrid, bc: str = "dirichlet0", pinned: bool = False) -> sp.csr_matrix:
-    """Q1 consistent mass matrix on the free dofs (2x2 Gauss, exact)."""
+    """Q1 consistent mass matrix on the free dofs, from its 1-D factors (as `CorrectorOperator`)."""
     _check_bc(bc)
-    (M,) = _stencil_matrices((grid,), bc, [_mass_local((grid,))])
+    (M,) = _stencil_matrices(grid.nx, grid.ny, bc, 1, [_mass_rows(_q1_mass_factors((grid,), bc), bc)])
     return _pin(M) if bc == "periodic" and pinned else M
 
 
@@ -697,19 +845,17 @@ def _blockwise(v: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return (v.reshape(scale.size, -1) * scale[:, None]).ravel()
 
 
-def _cell_corners(u: DofVector, cells=None) -> np.ndarray:
-    """(ncells, 4) nodal values of `u` at each cell's corners, local node order.
+def _cell_corners(nodal: np.ndarray, cells=None) -> list:
+    """Values of B nodal arrays (B, nx+1, ny+1) at the cells' corners: one (B, ncells) array per local node.
 
     `cells`, a pair of slices with explicit bounds, of cell indices along x
     and y, gathers only that block of cells.
     """
-    g = u.grid
-    sx, sy = cells if cells is not None else (slice(0, g.nx), slice(0, g.ny))
-    nodal = u.nodal()
-    return np.stack(
-        [nodal[sx.start + ax : sx.stop + ax, sy.start + ay : sy.stop + ay].ravel() for ax, ay in _NODE_OFFSETS],
-        axis=1,
-    )
+    B, nx, ny = nodal.shape[0], nodal.shape[1] - 1, nodal.shape[2] - 1
+    sx, sy = cells if cells is not None else (slice(0, nx), slice(0, ny))
+    return [
+        nodal[:, sx.start + ax : sx.stop + ax, sy.start + ay : sy.stop + ay].reshape(B, -1) for ax, ay in _NODE_OFFSETS
+    ]
 
 
 def values_at_quad(u: DofVector) -> np.ndarray:
@@ -718,7 +864,7 @@ def values_at_quad(u: DofVector) -> np.ndarray:
     Returns a (4 * ncells,) array ordered like `grid.quad_points()`.
     """
     N = np.stack([_shape_values(*gp)[0] for gp in GAUSS_POINTS], axis=1)  # (local node, gp)
-    return (_cell_corners(u) @ N).ravel()
+    return (np.stack(_cell_corners(u.nodal()[None]), axis=-1)[0] @ N).ravel()
 
 
 def gradient_field(u: DofVector, cells=None) -> np.ndarray:
@@ -730,14 +876,22 @@ def gradient_field(u: DofVector, cells=None) -> np.ndarray:
     matching rows of the full gradient bitwise, because every entry is the
     same elementwise sum over the cell's four corners.
     """
-    g = u.grid
-    corners = _cell_corners(u, cells)
-    out = np.empty((corners.shape[0], 4, 2))
-    for gp in range(4):
-        _, dN = _shape_values(*GAUSS_POINTS[gp])
-        dNdx = dN / np.array([0.5 * g.hx, 0.5 * g.hy])
-        out[:, gp, :] = sum(corners[:, l, None] * dNdx[l] for l in range(4))
-    return out.reshape(-1, 2)
+    return _gradients(u.values[None], (u.grid,), u.bc, cells, u.pinned)[0].T
+
+
+def _gradients(values: np.ndarray, grids, bc: str, cells=None, pinned: bool = False) -> np.ndarray:
+    """`gradient_field` of B stacked free-dof vectors (B, nfree) on grids of one shape, axis first.
+
+    Returns (B, 2, 4 * ncells): entry [b, a, p] is component a at point p
+    of grid b, the same sum as `gradient_field` on that grid alone.
+    """
+    corners = _cell_corners(_nodal(values, grids[0].nx, grids[0].ny, bc, pinned), cells)
+    D = _physical_shape_gradients(grids)  # (grid, gauss point, local node, axis)
+    out = np.empty((len(grids), 2, corners[0].shape[1], 4))
+    for g in range(4):
+        for a in range(2):
+            out[:, a, :, g] = sum(corners[l] * D[:, g, l, a, None] for l in range(4))
+    return out.reshape(len(grids), 2, -1)
 
 
 def interpolate_gradient(u: DofVector, points: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .averaging import Filter, _tensor_from_gradients, build_filter
+from .averaging import Filter, _window_tensors, build_filter
 from .coeffs import CoefficientField
 from .corrector import extrapolate, solve_ladder
 from .grid import (
@@ -66,11 +66,11 @@ __all__ = [
 #: assembly holds about 0.8 KB per dof while it runs and its operator about
 #: 0.4 KB per dof after, so an unbounded batch costs memory.  Measured on
 #: the 128-element mat2 mesh at H = 1/8, h = 1/128 (72 interior patches
-#: of 529 dofs, 200 patch ladders in all), median repetition and peak RSS,
-#: against 1.8-2.1 s and 71.5 MB unbatched: 2048 dofs 1.17-1.29 s and
-#: 74.6 MB, 4096 0.93-1.02 s and 78.5-79.2 MB, 8192 0.79 s and 85.6-85.9 MB,
-#: 16384 0.77-0.79 s and 92.1-92.3 MB, unbounded 0.70-0.75 s and
-#: 105.6-107.7 MB.  8192 is where the time stops falling.
+#: of 529 dofs, 200 patch ladders in all), median of 8 repetitions in each
+#: of two processes and peak RSS, single-threaded BLAS on a shared 2-core
+#: Xeon host: 4096 dofs 0.63-0.65 s and 74.3 MB, 8192 0.51-0.53 s and
+#: 79.5 MB, 16384 0.50-0.54 s and 87.5 MB.  8192 is where the time stops
+#: falling.
 BATCH_DOFS = 8192
 
 
@@ -283,29 +283,28 @@ def _batches(grids, field_eps: CoefficientField):
             yield chunk, CorrectorOperator.from_field([grids[i] for i in chunk], field_eps)
 
 
-def _extrapolated(op: CorrectorOperator, T: float, k: int, rel_tol: float, dual: bool = False) -> list:
-    """Level-k correctors for xi = e1, e2: per direction, one DofVector per grid of `op`."""
+def _extrapolated(op: CorrectorOperator, T: float, k: int, rel_tol: float, dual: bool = False) -> np.ndarray:
+    """Level-k corrector values for xi = e1, e2 on the grids of `op`, (direction, grid, dof)."""
     ladders = solve_ladder(op, T, k, np.eye(2), dual=dual, rel_tol=rel_tol)
-    return [op.split(extrapolate(lad).u.values) for lad in ladders]
+    return np.stack([extrapolate(lad).u.values for lad in ladders]).reshape(2, len(op.grids), -1)
 
 
 def _patch_tensors(grids, centers, field_eps, T, k, H, filt, rel_tol) -> np.ndarray:
     """(len(grids), 2, 2) projected filtered tensors of the patch problems.
 
     The zero-order coefficient is 1/T; each tensor averages over the window
-    of half-width H/2 around its center, clipped-mass normalized.
+    of half-width H/2 around its center, clipped-mass normalized.  The
+    patches of a batch whose windows cover the same block of cells (all
+    unclipped patches of one shape) are contracted together.
     """
     out = np.empty((len(grids), 2, 2))
+    centers = np.asarray(centers)
     for chunk, op in _batches(grids, field_eps):
         primal = _extrapolated(op, T, k, rel_tol)
         dual = primal if op.symmetric else _extrapolated(op.transpose(), T, k, rel_tol, dual=True)
-        A_q = op.A_q.reshape(len(chunk), -1, 4, 2, 2)
-        for b, i in enumerate(chunk):
-            up = [u[b] for u in primal]
-            ud = up if dual is primal else [u[b] for u in dual]
-            out[i] = _tensor_from_gradients(
-                grids[i], A_q[b], up, ud, filt, 0.5 * H, project=True, center=tuple(centers[i])
-            )[0]
+        out[chunk] = _window_tensors(
+            op.grids, op.bc, op.A_q, primal, dual, filt, 0.5 * H, centers[chunk], project=True
+        )[0]
     return out
 
 
@@ -435,7 +434,7 @@ def numerical_corrector(
     grids = [_patch_grid(c, 0.5 * delta * mesh.H, mesh.extent, h) for c in mesh.centroids()]
     gammas = [None] * len(grids)
     for chunk, op in _batches(grids, field_eps):
-        e1, e2 = _extrapolated(op, T * eps * eps, kprime, rel_tol)
+        e1, e2 = (op.split(u) for u in _extrapolated(op, T * eps * eps, kprime, rel_tol))
         for b, i in enumerate(chunk):
             gammas[i] = [e1[b], e2[b]]
     return NumericalCorrectorSet(gammas=gammas, grids=grids, M=M, kprime=kprime)

@@ -20,10 +20,11 @@ with the same exact cell value, via the closed form
 it a useful cross-check but useless for resonance-error sweeps.
 
 A box problem is a `CorrectorOperator` on the (S-1)^2 interior sites of an
-S-cell box: the five-point matrix K with identity mass, so rung j of the
-dyadic ladder solves (K + I / (2^j T)) x = b_xi with the same multigrid
-preconditioned Krylov solver as the Q1 correctors (grid.py), and both
-directions of a tensor share one operator.
+S-cell box: the five-point matrix K with identity mass, stored on K's
+pattern and given by the identity factors I (x) I for the coarse levels, so
+rung j of the dyadic ladder solves (K + I / (2^j T)) x = b_xi with the same
+multigrid preconditioned Krylov solver as the Q1 correctors (grid.py), and
+both directions of a tensor share one operator.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import scipy.sparse as sp
 
 from .averaging import Filter, _support
 from .corrector import extrapolate, solve_ladder
-from .grid import CorrectorOperator, StructuredGrid
+from .grid import CorrectorOperator, StructuredGrid, _on_pattern
 
 __all__ = [
     "LatticeField",
@@ -267,7 +268,9 @@ def _lattice_operator(field: LatticeField, R: int) -> CorrectorOperator:
     loads = np.stack([aE - aW, aN - aS])
     lo, hi = float(coords[0]), float(coords[-1])
     grid = StructuredGrid.from_box((lo, hi, lo, hi), S, S)
-    return CorrectorOperator(grid, "dirichlet0", K, sp.identity(nin * nin, format="csr"), loads, symmetric=True)
+    eye = sp.identity(nin, format="csr")
+    M = _on_pattern(sp.identity(nin * nin, format="csr"), K)
+    return CorrectorOperator(grid, "dirichlet0", K, M, (np.ones(1), eye, eye), loads, symmetric=True)
 
 
 def _box_correctors(field: LatticeField, R: int, T: float, k: int, xis, rel_tol: float) -> list:

@@ -158,6 +158,14 @@ def test_window_exceeding_grid_raises():
         filtered_average(g, vals, build_filter(0), 3.0)
 
 
+@pytest.mark.parametrize("make", [hom_tensor_prime, hom_tensor_projected])
+def test_tensor_window_exceeding_box_raises(make):
+    # mat2, R = 2, L = 3 used to average over the clipped window (filter mass 0.918)
+    with pytest.raises(ValueError, match="exceeds"):
+        make(catalog("mat2"), 2.0, 32, 1.0, 1, 3.0, build_filter(3))
+    assert make(catalog("mat2"), 2.0, 32, 1.0, 1, 2.0, build_filter(3)).filter_mass > 0.99
+
+
 @pytest.mark.parametrize("p", [0, 3, 4, "inf"])
 def test_filter_quadrature_mass_near_one(p):
     # collocated 2x2 Gauss reproduces the filter mass; orders 1 and 2 have

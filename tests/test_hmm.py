@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+import exhom.grid
 import exhom.hmm
-from exhom.averaging import build_filter
+from exhom.averaging import _tensor_from_gradients, _window_tensors, build_filter
 from exhom.coeffs import catalog, constant
+from exhom.grid import CorrectorOperator, DofVector
 from exhom.hmm import (
     CoarseMesh,
     LocalTensorMap,
@@ -218,3 +221,61 @@ def test_locate_on_rectangles(extent, H):
     u = P1Function(mesh, mesh.vertices[:, 0] ** 2)
     assert np.allclose(u.gradient_at(cents), u.element_gradients(), atol=1e-12)
     assert np.allclose(u(cents), u.values[mesh.triangles].mean(axis=1), atol=1e-12)
+
+
+@pytest.mark.parametrize("name, shift", [("mat2", 0.0), ("mat4", 0.0), ("mat4", 3 / 64)])
+def test_chunk_tensors_match_per_patch_contractions(name, shift):
+    # the 8 interior patches at H = 1/4 share one shape; a shifted center
+    # moves every other patch's window, so the chunk mixes window blocks
+    field_eps = scaled_field(catalog(name), 1 / 16)
+    mesh = CoarseMesh.unit_square(0.25)
+    half = 0.75 * mesh.H
+    cents = mesh.centroids()
+    inside = [c for c in cents if half <= min(c) and max(c) <= 1.0 - half]
+    grids = [exhom.hmm._patch_grid(c, half, mesh.extent, 1 / 64) for c in inside]
+    centers = np.array(inside) + shift * (np.arange(len(inside)) % 2)[:, None]
+    op = CorrectorOperator.from_field(grids, field_eps)
+    primal = exhom.hmm._extrapolated(op, 2 / 256, 2, 1e-10)
+    dual = primal if op.symmetric else exhom.hmm._extrapolated(op.transpose(), 2 / 256, 2, 1e-10, dual=True)
+    filt = build_filter(3)
+    windows = [filt.window(g, 0.5 * mesh.H, c)[0] for g, c in zip(grids, centers)]
+    blocks = {(sx.start, sx.stop, sy.start, sy.stop) for sx, sy in windows}
+    assert len(blocks) == (2 if shift else 1)
+    got = _window_tensors(op.grids, op.bc, op.A_q, primal, dual, filt, 0.5 * mesh.H, centers, True)[0]
+    A_q = op.A_q.reshape(len(grids), -1, 4, 2, 2)
+    for b, (g, c) in enumerate(zip(grids, centers)):
+        up = [DofVector(v[b], g, "dirichlet0") for v in primal]
+        ud = up if dual is primal else [DofVector(v[b], g, "dirichlet0") for v in dual]
+        ref = _tensor_from_gradients(g, A_q[b], up, ud, filt, 0.5 * mesh.H, True, center=tuple(c))[0]
+        assert np.abs(got[b] - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name, factorizations, krylov_calls", [("mat2", 20, 40), ("mat4", 22, 44)])
+def test_patch_setup_runs_once_per_batch_and_rung(monkeypatch, name, factorizations, krylov_calls):
+    # build_tensor_map solves one batch of 8 interior patches (twice, primal
+    # and dual, for mat4) and numerical_corrector 9 batches of clipped
+    # patches, each on k = 2 rungs: one bottom factorization per batch and
+    # rung, one Krylov call per direction; per-patch set-up would multiply both
+    counts = {"lu": 0, "krylov": 0}
+    band_lu = exhom.grid._BandLU
+
+    class CountingLU(band_lu):
+        def __init__(self, *args, **kwargs):
+            counts["lu"] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(exhom.grid, "_BandLU", CountingLU)
+    for method in ("cg", "bicgstab"):
+        def counting(*args, _original=getattr(spla, method), **kwargs):
+            counts["krylov"] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(spla, method, counting)
+    field_eps = scaled_field(catalog(name), 1 / 16)
+    mesh = CoarseMesh.unit_square(0.25)
+    u = coarse_solve(mesh, 4.0 * np.eye(2), F_ONE)
+    counts.update(lu=0, krylov=0)
+    build_tensor_map(mesh, field_eps, 1 / 16, T=2.0, k=2, delta=1.5, h=1 / 64, filt=build_filter(3), rel_tol=1e-8)
+    corr = numerical_corrector(mesh, u, field_eps, 1 / 16, 2.0, 2, 1.5, 1 / 64, rel_tol=1e-8)
+    assert len({(g.nx, g.ny) for g in corr.grids}) == 9
+    assert counts == {"lu": factorizations, "krylov": krylov_calls}

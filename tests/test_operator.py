@@ -28,7 +28,7 @@ from exhom.grid import (
     mass_matrix,
     solve,
 )
-from exhom.lattice import default_pattern, lattice_hom
+from exhom.lattice import _lattice_operator, default_pattern, lattice_hom
 
 _G = 1.0 / math.sqrt(3.0)
 GAUSS = [(-_G, -_G), (_G, -_G), (-_G, _G), (_G, _G)]
@@ -361,3 +361,96 @@ def test_lattice_hom_matches_jacobi_reference():
     ])
     got = lattice_hom(field, R, T, k, L, filt, rel_tol=1e-12)
     assert np.abs(got - ref).max() <= 1e-8 * np.abs(ref).max()
+
+
+def _dense_bottom(system):
+    return system.multigrid.levels[-1].toarray()
+
+
+@pytest.mark.parametrize(
+    "grids, bc, inv_T, name",
+    [
+        ([StructuredGrid.from_box((0.0, 1.0, 0.0, 0.6), 13, 9)], "dirichlet0", 2.0, "mat2"),  # a bottom of one level
+        ([StructuredGrid.from_box((0.0, 1.0, 0.0, 2.0), 24, 41)], "dirichlet0", 2.0, "mat2"),  # longer along y
+        ([StructuredGrid.from_box((0.0, 1.0, 0.0, 0.6), 10, 7)], "periodic", 0.7, "mat2"),
+        ([StructuredGrid.from_box((0.0, 1.0, 0.0, 0.6), 10, 7)], "periodic", 0.0, "mat2"),  # pinned
+        (_batch_of_patches(), "dirichlet0", 2.5, "mat2"),
+        (_batch_of_patches(33, 20), "dirichlet0", 2.5, "mat4"),  # non-symmetric, batched, halved
+        ([StructuredGrid.from_box((0.0, 1.0, 0.0, 0.6), 36, 22)], "periodic", 0.7, "mat4"),
+    ],
+)
+def test_band_lu_bottom_matches_dense_solve(grids, bc, inv_T, name):
+    op = CorrectorOperator.from_field(grids, catalog(name), bc)
+    system = op.system(inv_T, op.rhs((0.6, -0.8)))
+    assert system.pinned == (inv_T == 0.0)
+    A = _dense_bottom(system)
+    b = np.random.default_rng(3).standard_normal(A.shape[0])
+    ref = np.linalg.solve(A, b)
+    assert np.abs(system.multigrid.lu.solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("nx, ny, bc", [(3, 2000, "dirichlet0"), (2000, 3, "dirichlet0"), (3, 2000, "periodic")])
+def test_thin_grid_gets_a_thin_band(nx, ny, bc):
+    # too thin to halve: the whole grid is the bottom, numbered along its long axis
+    grid = StructuredGrid.from_box((0.0, 0.03 * nx, 0.0, 0.03 * ny), nx, ny)
+    op = CorrectorOperator.from_field(grid, catalog("mat2"), bc)
+    system = op.system(1.0, op.rhs((1.0, 0.0)))
+    assert not op.prolongations
+    lu = system.multigrid.lu
+    short = min(nx, ny) - (bc == "dirichlet0")
+    assert max(lu.kl, lu.ku) <= (short + 1 if bc == "dirichlet0" else 2 * short + 2), (lu.kl, lu.ku)
+    u = solve(system, rel_tol=1e-10)
+    assert np.linalg.norm(system.rhs - system.matrix @ u.values) <= 1e-10 * np.linalg.norm(system.rhs)
+
+
+def test_system_without_grid_sums_duplicate_entries(krylov_iterations):
+    # (0, 0) is stored twice, 1 + 3: the band LU factors the summed matrix, so one iteration solves
+    data, indices, indptr = np.array([1.0, 3.0, 1.0, 1.0, 5.0]), np.array([0, 0, 1, 0, 1]), np.array([0, 3, 5])
+    A = sp.csr_matrix((data, indices, indptr), shape=(2, 2))
+    u = solve(SparseSystem(matrix=A, rhs=np.array([5.0, 6.0]), symmetric=True), rel_tol=1e-12)
+    assert krylov_iterations[0] == 1
+    assert np.allclose(u.values, [1.0, 1.0], rtol=0, atol=1e-12)
+
+
+def test_singular_system_without_grid_raises_solver_error():
+    A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 0.0]]))
+    with pytest.raises(SolverError, match="singular"):
+        solve(SparseSystem(matrix=A, rhs=np.ones(3), symmetric=True), rel_tol=1e-10)
+
+
+def _galerkin_masses(op):
+    """P^T M P down the hierarchy, from the finest mass."""
+    out, M = [], op.M
+    for P in op.prolongations:
+        M = (P.T @ M @ P).tocsr()
+        out.append(M)
+    return out
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CorrectorOperator.from_field(StructuredGrid.square(1.0, 40), catalog("mat4")),  # even halvings
+        lambda: CorrectorOperator.from_field(StructuredGrid.from_box((0.0, 1.0, 0.0, 0.8), 41, 37), catalog("mat4")),
+        lambda: CorrectorOperator.from_field(StructuredGrid.square(1.0, 40), catalog("mat4"), "periodic"),
+        lambda: CorrectorOperator.from_field(StructuredGrid.from_box((0.0, 1.0, 0.0, 0.8), 41, 38), catalog("mat2"),
+                                             "periodic"),
+        lambda: CorrectorOperator.from_field(_batch_of_patches(48, 30), catalog("mat4")),
+        lambda: _lattice_operator(default_pattern(), 64),
+    ],
+)
+def test_mass_levels_are_galerkin_products_on_the_stiffness_pattern(make):
+    op = make()
+    op.systems(1.0, [op.rhs((1.0, 0.0))])
+    levels = [(op.K, op.M)] + op._coarse
+    assert len(levels) >= 3
+    ops = [op] if op.symmetric else [op, op.transpose()]
+    for o in ops:
+        for K, M in [(o.K, o.M)] + o._coarse:
+            assert np.shares_memory(K.indices, M.indices) and np.shares_memory(K.indptr, M.indptr)
+    for (_, M), ref in zip(op._coarse, _galerkin_masses(op), strict=True):
+        assert abs(M - ref).max() <= 1e-14 * abs(ref).max()
+    # the coarse stiffness is the Galerkin product, on the mass's pattern
+    for (K, _), (Kf, _), P in zip(op._coarse, levels, op.prolongations):
+        ref = P.T @ Kf @ P
+        assert abs(K - ref).max() <= 1e-14 * abs(ref).max()
