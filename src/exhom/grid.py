@@ -24,26 +24,31 @@ batch of grids that share their cell counts (nx, ny) and bc, each with its
 own origin and spacing, and its K, M and loads are block-diagonal, one
 block per grid.  A single grid is a batch of one.  Many small problems of
 one shape (the HMM patches) then cost one field evaluation, one assembly,
-one hierarchy and one Krylov call instead of one of each per problem,
-whose fixed costs dominate problems of a few hundred dofs.  A batch holds
-about 0.8 KB per dof while it is assembled, so callers bound its size
-(`hmm.BATCH_DOFS`).
+one bottom factorization per shift and one Krylov call instead of one of
+each per problem, whose fixed costs dominate problems of a few hundred
+dofs.  A batch holds about 0.8 KB per dof while it is assembled, so
+callers bound its size (`hmm.BATCH_DOFS`).
 
 `solve` is the one Krylov entry point: conjugate gradients for symmetric
 systems, BiCGStab otherwise, preconditioned by a geometric multigrid
-V-cycle.  The hierarchy halves the grid (bilinear prolongation P = Px (x)
-Py, wrapping around on periodic grids) while both cell counts are at least
-4 and the level has more than `COARSE_DOFS` dofs; an odd count n halves to
-ceil(n/2), the last coarse cell one fine cell wide.  Coarse stiffnesses are
-Galerkin products P^T K P; coarse masses are Galerkin products of the 1-D
-factors, diag(w) (x) Px^T Mx Px (x) Py^T My Py, which equal P^T M P with no
-two-dimensional product.  Both are built once per operator, on the coarse
-grid's nine-point pattern, so a shift costs one sum of data arrays per
-level.  Each level smooths with damped Jacobi and the coarsest is factorized
-as a band LU (LAPACK gbtrf), its dofs numbered along the grid's longer axis
-so that the band is the shorter free extent of a block: it is small, or
-under 4 cells wide, so no large grid is ever factorized whole.  A system
-without a hierarchy is a single level, a band LU in its own numbering.  A
+V-cycle whose bottom level is factorized outright.  The hierarchy halves the
+grid (bilinear prolongation P = Px (x) Py, wrapping around on periodic
+grids) while both cell counts are at least 4 and one block of the level
+would hold more than `BAND_ENTRIES` band-factor entries (free dofs times the
+shorter free extent); an odd count n halves to ceil(n/2), the last coarse
+cell one fine cell wide.  A block that is cheap to factor, such as an HMM
+patch, is therefore not halved at all: its system is one level, solved
+directly, and the Krylov method stops after one iteration.  Coarse
+stiffnesses are Galerkin products P^T K P; coarse masses are Galerkin
+products of the 1-D factors, diag(w) (x) Px^T Mx Px (x) Py^T My Py, which
+equal P^T M P with no two-dimensional product.  Both are built once per
+operator, on the coarse grid's nine-point pattern, so a shift costs one sum
+of data arrays per level.  Each level above the bottom smooths with damped
+Jacobi.  The bottom is factorized in LAPACK band storage, a band Cholesky
+(pbtrf) when the system is symmetric and a band LU (gbtrf) otherwise, its
+dofs numbered along the grid's longer axis so that the band is the shorter
+free extent of a block: no large grid is ever factorized whole.  A system
+without a hierarchy is a single level, factorized in its own numbering.  A
 batch halves alike in every block, so its prolongations are I_B (x) P and
 every level stays block-diagonal.  The solve of a batched system is
 equilibrated, so each block meets the tolerance relative to its own
@@ -83,8 +88,23 @@ GAUSS_POINTS = np.array([[-_G, -_G], [_G, -_G], [-_G, _G], [_G, _G]])
 # local node l of a cell sits at this (x, y) offset from the cell's first node
 _NODE_OFFSETS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
-#: A level with more dofs than this is halved while both cell counts are at least 4.
-COARSE_DOFS = 300
+#: A level is halved, while both its cell counts are at least 4, when one of
+#: its blocks holds more band-factor entries than this: free dofs times the
+#: shorter free extent, about the size of its band Cholesky.  A smaller
+#: block is factorized outright, which costs less than building a hierarchy
+#: for it and running V-cycles.  Measured per repetition of the bench
+#: workloads, median of 10 after 2 warm-ups in each of two or three
+#: processes, single-threaded BLAS on a shared 2-core Xeon host:
+#: hmm-patches (24 x 24-cell patches, 23^3 = 12167 entries) 0.174-0.187 s at
+#: 4096 and 8192, when the patches still halve, and 0.131-0.138 s from 16384
+#: to 524288; tensor-ladder (320 x 320 cells) 0.189-0.199 s at 32768 (bottom
+#: 20 x 20 cells) and 0.180-0.182 s at 131072 (bottom 40 x 40);
+#: tensor-naive (192 x 192) 0.084-0.087 s at 32768 (bottom 24 x 24) and
+#: 0.080-0.081 s at 131072 (bottom 48 x 48); lattice-box 0.209-0.213 s
+#: from 8192 to 262144 but 0.216-0.223 s and 4 MB more peak memory at
+#: 524288 (bottom 80 x 80).  131072 is where the box workloads stop getting
+#: faster.
+BAND_ENTRIES = 131072
 _JACOBI_WEIGHT = 0.8
 
 
@@ -255,8 +275,14 @@ def _check_bc(bc: str) -> None:
         raise ValueError(f"unknown bc {bc!r}")
 
 
+def _free_extents(nx: int, ny: int, bc: str) -> tuple:
+    """Free nodes along x and along y."""
+    return (nx, ny) if bc == "periodic" else (nx - 1, ny - 1)
+
+
 def _n_free(nx: int, ny: int, bc: str) -> int:
-    return nx * ny if bc == "periodic" else (nx - 1) * (ny - 1)
+    mx, my = _free_extents(nx, ny, bc)
+    return mx * my
 
 
 def _batch(grids) -> tuple:
@@ -467,7 +493,7 @@ def _prolongation_1d(n: int, bc: str) -> sp.csr_matrix:
 def _hierarchy(nx: int, ny: int, bc: str) -> tuple:
     """Cell counts of the halving hierarchy, finest first, and its 1-D prolongations (Px, Py)."""
     shapes, prolongations = [(nx, ny)], []
-    while min(nx, ny) >= 4 and _n_free(nx, ny, bc) > COARSE_DOFS:
+    while min(nx, ny) >= 4 and _n_free(nx, ny, bc) * min(_free_extents(nx, ny, bc)) > BAND_ENTRIES:
         px = _prolongation_1d(nx, bc)
         prolongations.append((px, px if ny == nx else _prolongation_1d(ny, bc)))
         nx, ny = (nx + 1) // 2, (ny + 1) // 2
@@ -542,7 +568,7 @@ def _band_order(nx: int, ny: int, bc: str, blocks: int, pinned: bool = False) ->
     of a thin grid stays thin.  Periodic axes are folded (`_fold`), so the
     wrap-around neighbours stay within two places too.
     """
-    mx, my = (nx, ny) if bc == "periodic" else (nx - 1, ny - 1)
+    mx, my = _free_extents(nx, ny, bc)
     ix, iy = (_fold(mx), _fold(my)) if bc == "periodic" else (np.arange(mx), np.arange(my))
     dof = ix[:, None] * my + iy[None, :]  # natural numbering is x-major
     order = (dof if mx >= my else dof.T).ravel()
@@ -552,31 +578,55 @@ def _band_order(nx: int, ny: int, bc: str, blocks: int, pinned: bool = False) ->
     return (order + n * np.arange(blocks)[:, None]).ravel()
 
 
-class _BandLU:
-    """LU factors of a sparse matrix in LAPACK band storage (gbtrf, partial pivoting).
+def _band_storage(rows: np.ndarray, cols: np.ndarray, data: np.ndarray, height: int, n: int) -> np.ndarray:
+    """(height, n) Fortran-ordered array with each data[i] added into [rows[i], cols[i]]: duplicates are summed."""
+    return np.bincount(rows + height * cols, weights=data, minlength=height * n).reshape(n, height).T
 
+
+class _BandFactor:
+    """A sparse matrix factorized in LAPACK band storage.
+
+    A symmetric matrix gets a band Cholesky of its upper band (pbtrf); one
+    that is not positive definite raises `SolverError`, and no LU stands in
+    for it.  Any other matrix gets a band LU with partial pivoting (gbtrf).
     `order` (None: the matrix's own numbering) places the dofs; kl and ku,
     the widest couplings below and above the diagonal in that numbering,
-    set the storage, (2 kl + ku + 1) x n, and the cost, n kl (kl + ku).
+    set the storage, (ku + 1) x n for Cholesky and (2 kl + ku + 1) x n for
+    LU, and the cost, about n ku^2 and n kl (kl + ku).  The band is filled
+    straight from the CSR arrays, summing duplicate entries, and the
+    caller's matrix is left as it is.
     """
 
-    def __init__(self, A: sp.spmatrix, order: Optional[np.ndarray] = None):
-        A = A.tocoo()
-        A.sum_duplicates()  # a copy: the caller's matrix is left as it is
+    def __init__(self, A: sp.csr_matrix, symmetric: bool, order: Optional[np.ndarray] = None):
         n = A.shape[0]
         self.order = np.arange(n) if order is None else order
         place = np.empty(n, dtype=np.intp)
         place[self.order] = np.arange(n)
-        r, c = place[A.row], place[A.col]
-        self.kl, self.ku = int(max(0, (r - c).max(initial=0))), int(max(0, (c - r).max(initial=0)))
-        ab = np.zeros((2 * self.kl + self.ku + 1, n), order="F")
-        ab[self.kl + self.ku + r - c, c] = A.data
-        self.lu, self.piv, info = lapack.dgbtrf(ab, self.kl, self.ku, overwrite_ab=1)
-        if info != 0:
-            raise SolverError(f"band LU of the coarsest level failed (gbtrf info {info}): singular matrix")
+        cols = place[A.indices]
+        d = cols - place[np.repeat(np.arange(n), np.diff(A.indptr))]
+        self.kl, self.ku = int(max(0, -d.min(initial=0))), int(max(0, d.max(initial=0)))
+        self.cholesky = bool(symmetric)
+        if self.cholesky:
+            upper = d >= 0
+            ab = _band_storage(self.ku - d[upper], cols[upper], A.data[upper], self.ku + 1, n)
+            self.factor, info = lapack.dpbtrf(ab, overwrite_ab=1)
+            if info != 0:
+                raise SolverError(
+                    f"band Cholesky of the bottom level failed (pbtrf info {info}): "
+                    "the symmetric matrix is singular or not positive definite"
+                )
+        else:
+            height = 2 * self.kl + self.ku + 1
+            ab = _band_storage(self.kl + self.ku - d, cols, A.data, height, n)
+            self.factor, self.piv, info = lapack.dgbtrf(ab, self.kl, self.ku, overwrite_ab=1)
+            if info != 0:
+                raise SolverError(f"band LU of the bottom level failed (gbtrf info {info}): singular matrix")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        y, info = lapack.dgbtrs(self.lu, self.kl, self.ku, b[self.order], self.piv)
+        if self.cholesky:
+            y, info = lapack.dpbtrs(self.factor, b[self.order])
+        else:
+            y, info = lapack.dgbtrs(self.factor, self.kl, self.ku, b[self.order], self.piv)
         x = np.empty_like(y)
         x[self.order] = y
         return x
@@ -586,24 +636,25 @@ class Multigrid:
     """Symmetric V-cycle on levels A_0 (finest) ... A_L, used as M^{-1}.
 
     One damped-Jacobi sweep before and one after each coarse correction,
-    restriction by the given R_l = P_l^T; the coarsest level is solved by a
-    band LU (`_BandLU`) in the dof numbering `order`, which the operator
-    picks from the level's grid (`_band_order`).  Symmetric levels give a
-    symmetric preconditioner.
+    restriction by the given R_l = P_l^T; the bottom level is factorized
+    outright (`_BandFactor`: band Cholesky when `symmetric`, band LU
+    otherwise) in the dof numbering `order`, which the operator picks from
+    the level's grid (`_band_order`).  Symmetric levels give a symmetric
+    preconditioner.  A single level is a direct solve.
     """
 
-    def __init__(self, levels, prolongations=(), restrictions=(), order=None):
+    def __init__(self, levels, symmetric: bool, prolongations=(), restrictions=(), order=None):
         self.levels = levels
         self.P, self.R = prolongations, restrictions
         self.dinv = [_JACOBI_WEIGHT / A.diagonal() for A in levels[:-1]]
-        self.lu = _BandLU(levels[-1], order)
+        self.bottom = _BandFactor(levels[-1], symmetric, order)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return self._cycle(0, np.ravel(r))
 
     def _cycle(self, level: int, r: np.ndarray) -> np.ndarray:
         if level == len(self.levels) - 1:
-            return self.lu.solve(r)
+            return self.bottom.solve(r)
         A, dinv = self.levels[level], self.dinv[level]
         x = dinv * r
         x += self.P[level] @ self._cycle(level + 1, self.R[level] @ (r - A @ x))
@@ -632,11 +683,14 @@ class CorrectorOperator:
     xi . b), the prolongations I_B (x) Px (x) Py and their transposes (the
     restrictions) and, once a system is requested, the coarse levels: the
     Galerkin stiffness P^T K P and the mass from the 1-D Galerkin factors,
-    sharing the coarse grid's nine-point pattern.  `A_q` is the coefficient
-    at the quadrature points, (B * ncells, 4, 2, 2), when the operator was
-    built from a field.  The operator keeps no shifted matrices: each call
-    of `systems` builds one shift's hierarchy, shared by the systems it
-    returns, on a band LU of its coarsest level.
+    sharing the coarse grid's nine-point pattern.  A grid whose blocks are
+    cheap to factor (`BAND_ENTRIES`) has no coarse levels and builds none of
+    these pieces.  `A_q` is the coefficient at the quadrature points,
+    (B * ncells, 4, 2, 2), when the operator was built from a field.  The
+    operator keeps no shifted matrices: each call of `systems` builds one
+    shift's hierarchy, shared by the systems it returns, on a band
+    factorization of its bottom level (Cholesky when the field is
+    symmetric).
     """
 
     def __init__(self, grids, bc, stiffness, mass, mass_factors, loads, symmetric, A_q=None):
@@ -728,7 +782,8 @@ class CorrectorOperator:
         P, R = self.prolongations, self.restrictions
         if pinned:
             levels, P, R = ([_pin(A) for A in mats] for mats in (levels, P, R))
-        mg = Multigrid(levels, P, R, _band_order(*self.shapes[-1], self.bc, len(self.grids), pinned))
+        order = _band_order(*self.shapes[-1], self.bc, len(self.grids), pinned)
+        mg = Multigrid(levels, self.symmetric, P, R, order)
         return [
             SparseSystem(
                 matrix=levels[0], rhs=b[1:] if pinned else b, symmetric=self.symmetric,
@@ -784,7 +839,9 @@ def solve(
 
     CG when the system is flagged symmetric, BiCGStab otherwise, both
     preconditioned by the system's multigrid V-cycle (one level when it has
-    none).  A zero right-hand side short-circuits to the zero vector.
+    none).  A single level is a direct band solve, so the Krylov method
+    stops after one iteration.  A zero right-hand side short-circuits to
+    the zero vector.
 
     A system of several blocks is solved equilibrated: each block's
     right-hand side and warm start are scaled to unit norm (the blocks do
@@ -804,7 +861,7 @@ def solve(
     if not bnorms.any():
         return DofVector(np.zeros_like(b), system.grid, system.bc, system.pinned)
     A = system.matrix
-    mg = system.multigrid if system.multigrid is not None else Multigrid([A])
+    mg = system.multigrid if system.multigrid is not None else Multigrid([A], system.symmetric)
     M = spla.LinearOperator(A.shape, matvec=mg, dtype=float)
     krylov = spla.cg if system.symmetric else spla.bicgstab
     x, ref = x0, bnorms  # ref: the block norms of the right-hand side solved for

@@ -8,9 +8,11 @@ Pipeline, per coarse P1 triangle on a rectangular domain D:
    non-symmetric), Richardson-extrapolated over the dyadic T ladder.
    Patches with the same cell counts (nx, ny) are solved together: each
    chunk of at most `BATCH_DOFS` free dofs is one batched operator (one
-   field evaluation, one block-diagonal assembly, one hierarchy and one
-   Krylov call per rung and direction), with each patch keeping its own
-   clipped spacing;
+   field evaluation and one block-diagonal assembly, then per rung one band
+   factorization and per rung and direction one Krylov call), with each
+   patch keeping its own clipped spacing.  A patch is cheap to factor
+   (`grid.BAND_ENTRIES`), so no multigrid hierarchy is built: a batch is
+   one level, solved directly, and each Krylov call takes one iteration;
 2. form the projected filtered tensor over the inner window of half-width
    H/2 with clipped-mass normalization, giving a piecewise-constant
    effective coefficient (elements whose patch exits D copy the tensor of
@@ -61,16 +63,18 @@ __all__ = [
 
 
 #: Most free dofs solved in one batch of same-shape patches.  Batching cuts
-#: the per-call overhead of assembly, hierarchy, bottom factorization and
-#: Krylov calls, which dominates patches of about 500 dofs; but a batch's
-#: assembly holds about 0.8 KB per dof while it runs and its operator about
-#: 0.4 KB per dof after, so an unbounded batch costs memory.  Measured on
-#: the 128-element mat2 mesh at H = 1/8, h = 1/128 (72 interior patches
-#: of 529 dofs, 200 patch ladders in all), median of 8 repetitions in each
-#: of two processes and peak RSS, single-threaded BLAS on a shared 2-core
-#: Xeon host: 4096 dofs 0.63-0.65 s and 74.3 MB, 8192 0.51-0.53 s and
-#: 79.5 MB, 16384 0.50-0.54 s and 87.5 MB.  8192 is where the time stops
-#: falling.
+#: the per-call overhead of assembly, bottom factorization and Krylov calls,
+#: which dominates patches of about 500 dofs; but a batch's assembly holds
+#: about 0.8 KB per dof while it runs and its operator about 0.4 KB per dof
+#: after, so an unbounded batch costs memory.  Measured with direct patch
+#: solves (`grid.BAND_ENTRIES`) on the bench's hmm-patches workload (the
+#: 128-element mat2 mesh at H = 1/8, h = 1/128: 72 interior patches of 529
+#: dofs, 200 patch ladders in all), median of 10 repetitions after 2
+#: warm-ups in each of two processes and peak RSS, single-threaded BLAS on
+#: a shared 2-core Xeon host: 2048 dofs 0.186-0.187 s and 71.7 MB, 4096
+#: 0.156-0.160 s and 74.5 MB, 8192 0.136-0.137 s and 79.5 MB, 16384
+#: 0.137-0.143 s and 88.6 MB, 40000 0.140 s and 108.8 MB.  8192 is where
+#: the time stops falling.
 BATCH_DOFS = 8192
 
 

@@ -122,7 +122,7 @@ def test_galerkin_orthogonality():
 
 
 def test_nonconvergence_reports_residual():
-    g = StructuredGrid.square(2.0, 24)
+    g = StructuredGrid.square(2.0, 96)  # halved, so two iterations are not a direct solve
     system = assemble(g, catalog("mat2"), 0.0, xi=np.array([1.0, 0.0]))
     with pytest.raises(SolverError) as exc:
         solve(system, rel_tol=1e-10, max_iter=2)

@@ -256,15 +256,15 @@ def test_patch_setup_runs_once_per_batch_and_rung(monkeypatch, name, factorizati
     # and dual, for mat4) and numerical_corrector 9 batches of clipped
     # patches, each on k = 2 rungs: one bottom factorization per batch and
     # rung, one Krylov call per direction; per-patch set-up would multiply both
-    counts = {"lu": 0, "krylov": 0}
-    band_lu = exhom.grid._BandLU
+    counts = {"factor": 0, "krylov": 0}
+    band_factor = exhom.grid._BandFactor
 
-    class CountingLU(band_lu):
+    class CountingFactor(band_factor):
         def __init__(self, *args, **kwargs):
-            counts["lu"] += 1
+            counts["factor"] += 1
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(exhom.grid, "_BandLU", CountingLU)
+    monkeypatch.setattr(exhom.grid, "_BandFactor", CountingFactor)
     for method in ("cg", "bicgstab"):
         def counting(*args, _original=getattr(spla, method), **kwargs):
             counts["krylov"] += 1
@@ -274,8 +274,8 @@ def test_patch_setup_runs_once_per_batch_and_rung(monkeypatch, name, factorizati
     field_eps = scaled_field(catalog(name), 1 / 16)
     mesh = CoarseMesh.unit_square(0.25)
     u = coarse_solve(mesh, 4.0 * np.eye(2), F_ONE)
-    counts.update(lu=0, krylov=0)
+    counts.update(factor=0, krylov=0)
     build_tensor_map(mesh, field_eps, 1 / 16, T=2.0, k=2, delta=1.5, h=1 / 64, filt=build_filter(3), rel_tol=1e-8)
     corr = numerical_corrector(mesh, u, field_eps, 1 / 16, 2.0, 2, 1.5, 1 / 64, rel_tol=1e-8)
     assert len({(g.nx, g.ny) for g in corr.grids}) == 9
-    assert counts == {"lu": factorizations, "krylov": krylov_calls}
+    assert counts == {"factor": factorizations, "krylov": krylov_calls}

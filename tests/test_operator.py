@@ -17,7 +17,7 @@ from exhom.averaging import _tensor_from_gradients, build_filter, solve_correcto
 from exhom.coeffs import catalog
 from exhom.corrector import richardson_combine
 from exhom.grid import (
-    COARSE_DOFS,
+    BAND_ENTRIES,
     CorrectorOperator,
     DofVector,
     SolverError,
@@ -184,7 +184,7 @@ def test_batched_solve_matches_one_grid_solves(name):
 
 
 def test_equilibrated_solve_meets_the_tolerance_on_every_block():
-    grids = _batch_of_patches(32, 24)  # two levels, so the V-cycle is not a direct solve
+    grids = _batch_of_patches(96, 72)  # two levels, so the V-cycle is not a direct solve
     op = CorrectorOperator.from_field(grids, catalog("mat2"))
     loads = op.rhs((1.0, 0.0)).reshape(3, -1).copy()
     loads[0] *= 1e6
@@ -203,17 +203,23 @@ def test_equilibrated_solve_meets_the_tolerance_on_every_block():
 
 def test_coarsening_rule():
     mat2 = catalog("mat2")
-    # grids halve while a level has more than COARSE_DOFS dofs
-    op = CorrectorOperator.from_field(StructuredGrid.square(2.0, 24), mat2)
-    assert [P.shape for P in op.prolongations] == [(23 * 23, 11 * 11)]
-    op = CorrectorOperator.from_field(StructuredGrid.square(0.5, 64), mat2, "periodic")
-    assert [P.shape[1] for P in op.prolongations] == [32 * 32, 16 * 16]
-    assert 16 * 16 <= COARSE_DOFS
-    # odd cell counts halve too, to ceil(n/2): 131 -> 66 -> 33 -> 17 cells
-    op = CorrectorOperator.from_field(StructuredGrid.square(2.0, 131), mat2)
-    assert [P.shape for P in op.prolongations] == [(130**2, 65**2), (65**2, 32**2), (32**2, 16**2)]
-    op = CorrectorOperator.from_field(StructuredGrid.from_box((0.0, 1.0, 0.0, 2.0), 45, 90), mat2, "periodic")
-    assert [P.shape for P in op.prolongations] == [(45 * 90, 23 * 45), (23 * 45, 12 * 23)]
+    # grids halve while a block holds more than BAND_ENTRIES band-factor
+    # entries, free dofs times the shorter free extent
+    op = CorrectorOperator.from_field(StructuredGrid.square(2.0, 96), mat2)
+    assert [P.shape for P in op.prolongations] == [(95 * 95, 47 * 47)]
+    assert 95**3 > BAND_ENTRIES >= 47**3
+    op = CorrectorOperator.from_field(StructuredGrid.square(0.5, 128), mat2, "periodic")
+    assert [P.shape[1] for P in op.prolongations] == [64 * 64, 32 * 32]
+    assert 64**3 > BAND_ENTRIES >= 32**3
+    # the shorter extent sets the band: a thin grid of many dofs is factorized whole
+    op = CorrectorOperator.from_field(StructuredGrid.from_box((0.0, 1.0, 0.0, 8.0), 9, 400), mat2)
+    assert op.shapes == [(9, 400)]
+    assert 8 * 399 * 8 <= BAND_ENTRIES
+    # odd cell counts halve too, to ceil(n/2): 261 -> 131 -> 66 -> 33 cells
+    op = CorrectorOperator.from_field(StructuredGrid.square(2.0, 261), mat2)
+    assert [P.shape for P in op.prolongations] == [(260**2, 130**2), (130**2, 65**2), (65**2, 32**2)]
+    op = CorrectorOperator.from_field(StructuredGrid.from_box((0.0, 1.0, 0.0, 2.0), 90, 180), mat2, "periodic")
+    assert [P.shape for P in op.prolongations] == [(90 * 180, 45 * 90), (45 * 90, 23 * 45)]
     # coarse node i sits at fine node min(2i, n): the last coarse cell is one fine cell wide
     assert np.array_equal(
         _prolongation_1d(5, "dirichlet0").toarray(), [[0.5, 0.0], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]
@@ -222,11 +228,12 @@ def test_coarsening_rule():
         _prolongation_1d(5, "periodic").toarray(),
         [[1.0, 0.0, 0.0], [0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.0, 1.0]],
     )
-    # every bottom is factorized
+    # every bottom is factorized, and is cheap to factor
     for n in (17, 81, 131):
         system = CorrectorOperator.from_field(StructuredGrid.square(2.0, n), mat2).system(1.0, np.ones((n - 1) ** 2))
-        assert system.multigrid.levels[-1].shape[0] <= COARSE_DOFS
-        assert system.multigrid.lu is not None
+        m = math.isqrt(system.multigrid.levels[-1].shape[0])
+        assert m**3 <= BAND_ENTRIES
+        assert system.multigrid.bottom.cholesky
 
 
 def test_stiffness_and_mass_share_one_sorted_pattern():
@@ -257,10 +264,11 @@ def test_multigrid_iterations_bounded_under_refinement(krylov_iterations, name, 
 
 
 def test_odd_grid_halves_and_solves_in_few_iterations(krylov_iterations):
-    # 322 cells halve to 161, 81, 41 and 21: before odd grids halved, the
-    # 161-cell level was a 25600-dof bottom that was only smoothed, and the
-    # two directions at 1/T = 4 took 306 CG iterations (131 cells: 368)
-    for n in (322, 131):
+    # 322 cells halve to 161, 81 and 41, and 261 to 131, 66 and 33:
+    # before odd grids halved, the 161-cell level was a 25600-dof bottom that
+    # was only smoothed, and the two directions at 1/T = 4 took 306 CG
+    # iterations (131 cells: 368)
+    for n in (322, 261):
         op = CorrectorOperator.from_field(StructuredGrid.square(4.0 * n / 322, n), catalog("mat2"))
         assert len(op.prolongations) >= 3
         krylov_iterations[0] = 0
@@ -363,8 +371,12 @@ def test_lattice_hom_matches_jacobi_reference():
     assert np.abs(got - ref).max() <= 1e-8 * np.abs(ref).max()
 
 
-def _dense_bottom(system):
-    return system.multigrid.levels[-1].toarray()
+def _dense_solve_of_bottom(system, b):
+    """The bottom level solved densely, block by block (every level is block-diagonal)."""
+    A, n = system.multigrid.levels[-1], b.size // system.blocks
+    blocks = [slice(i * n, (i + 1) * n) for i in range(system.blocks)]
+    assert sum(A[blk, blk].nnz for blk in blocks) == A.nnz
+    return np.concatenate([np.linalg.solve(A[blk, blk].toarray(), b[blk]) for blk in blocks])
 
 
 @pytest.mark.parametrize(
@@ -375,7 +387,7 @@ def _dense_bottom(system):
         ([StructuredGrid.from_box((0.0, 1.0, 0.0, 0.6), 10, 7)], "periodic", 0.7, "mat2"),
         ([StructuredGrid.from_box((0.0, 1.0, 0.0, 0.6), 10, 7)], "periodic", 0.0, "mat2"),  # pinned
         (_batch_of_patches(), "dirichlet0", 2.5, "mat2"),
-        (_batch_of_patches(33, 20), "dirichlet0", 2.5, "mat4"),  # non-symmetric, batched, halved
+        (_batch_of_patches(120, 40), "dirichlet0", 2.5, "mat4"),  # non-symmetric, batched, halved
         ([StructuredGrid.from_box((0.0, 1.0, 0.0, 0.6), 36, 22)], "periodic", 0.7, "mat4"),
     ],
 )
@@ -383,10 +395,11 @@ def test_band_lu_bottom_matches_dense_solve(grids, bc, inv_T, name):
     op = CorrectorOperator.from_field(grids, catalog(name), bc)
     system = op.system(inv_T, op.rhs((0.6, -0.8)))
     assert system.pinned == (inv_T == 0.0)
-    A = _dense_bottom(system)
-    b = np.random.default_rng(3).standard_normal(A.shape[0])
-    ref = np.linalg.solve(A, b)
-    assert np.abs(system.multigrid.lu.solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
+    b = np.random.default_rng(3).standard_normal(system.multigrid.levels[-1].shape[0])
+    ref = _dense_solve_of_bottom(system, b)
+    bottom = system.multigrid.bottom
+    assert bottom.cholesky == (name == "mat2")  # Cholesky for the symmetric field, LU for the other
+    assert np.abs(bottom.solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("nx, ny, bc", [(3, 2000, "dirichlet0"), (2000, 3, "dirichlet0"), (3, 2000, "periodic")])
@@ -396,15 +409,16 @@ def test_thin_grid_gets_a_thin_band(nx, ny, bc):
     op = CorrectorOperator.from_field(grid, catalog("mat2"), bc)
     system = op.system(1.0, op.rhs((1.0, 0.0)))
     assert not op.prolongations
-    lu = system.multigrid.lu
+    bottom = system.multigrid.bottom
     short = min(nx, ny) - (bc == "dirichlet0")
-    assert max(lu.kl, lu.ku) <= (short + 1 if bc == "dirichlet0" else 2 * short + 2), (lu.kl, lu.ku)
+    band = max(bottom.kl, bottom.ku)
+    assert band <= (short + 1 if bc == "dirichlet0" else 2 * short + 2), band
     u = solve(system, rel_tol=1e-10)
     assert np.linalg.norm(system.rhs - system.matrix @ u.values) <= 1e-10 * np.linalg.norm(system.rhs)
 
 
 def test_system_without_grid_sums_duplicate_entries(krylov_iterations):
-    # (0, 0) is stored twice, 1 + 3: the band LU factors the summed matrix, so one iteration solves
+    # (0, 0) is stored twice, 1 + 3: the band factorization holds the summed matrix, so one iteration solves
     data, indices, indptr = np.array([1.0, 3.0, 1.0, 1.0, 5.0]), np.array([0, 0, 1, 0, 1]), np.array([0, 3, 5])
     A = sp.csr_matrix((data, indices, indptr), shape=(2, 2))
     u = solve(SparseSystem(matrix=A, rhs=np.array([5.0, 6.0]), symmetric=True), rel_tol=1e-12)
@@ -416,6 +430,37 @@ def test_singular_system_without_grid_raises_solver_error():
     A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 0.0]]))
     with pytest.raises(SolverError, match="singular"):
         solve(SparseSystem(matrix=A, rhs=np.ones(3), symmetric=True), rel_tol=1e-10)
+    with pytest.raises(SolverError, match="singular"):
+        solve(SparseSystem(matrix=A, rhs=np.ones(3), symmetric=False), rel_tol=1e-10)
+
+
+def test_symmetric_indefinite_system_raises_failed_cholesky():
+    # no LU stands in for a symmetric level that is not positive definite
+    A = sp.csr_matrix(np.array([[2.0, 1.0, 0.0], [1.0, -2.0, 1.0], [0.0, 1.0, 2.0]]))
+    with pytest.raises(SolverError, match="band Cholesky .* failed .*not positive definite"):
+        solve(SparseSystem(matrix=A, rhs=np.ones(3), symmetric=True), rel_tol=1e-10)
+    u = solve(SparseSystem(matrix=A, rhs=np.ones(3), symmetric=False), rel_tol=1e-10)  # LU takes it
+    assert np.allclose(A @ u.values, 1.0, rtol=0, atol=1e-12)
+
+
+def test_hmm_patch_batch_is_one_cholesky_level(krylov_iterations):
+    # 24 x 24-cell patches (529 free dofs, band 23) are cheap to factor: the
+    # batch is one level, factorized by Cholesky, and CG solves each
+    # direction in one iteration with no hierarchy built
+    boxes = ((0.0, 0.19, 0.1, 0.28), (0.21, 0.4, 0.0, 0.2), (0.5, 0.68, 0.3, 0.49))
+    grids = [StructuredGrid.from_box(b, 24, 24) for b in boxes]
+    op = CorrectorOperator.from_field(grids, catalog("mat2"))
+    assert op.shapes == [(24, 24)] and not op.prolongations and 23**3 <= BAND_ENTRIES
+    systems = op.systems(128.0, [op.rhs(xi) for xi in np.eye(2)])  # 1 / (T eps^2) at T = 2, eps = 1/16
+    assert op._coarse == []
+    for system in systems:
+        assert len(system.multigrid.levels) == 1 and system.multigrid.bottom.cholesky
+        assert max(system.multigrid.bottom.kl, system.multigrid.bottom.ku) == 24
+        krylov_iterations[0] = 0
+        u = solve(system, rel_tol=1e-10).values.reshape(3, -1)
+        assert krylov_iterations[0] == 1
+        r = (system.rhs - system.matrix @ u.ravel()).reshape(3, -1)
+        assert np.all(np.linalg.norm(r, axis=1) <= 1e-10 * np.linalg.norm(system.rhs.reshape(3, -1), axis=1))
 
 
 def _galerkin_masses(op):
@@ -430,13 +475,13 @@ def _galerkin_masses(op):
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: CorrectorOperator.from_field(StructuredGrid.square(1.0, 40), catalog("mat4")),  # even halvings
-        lambda: CorrectorOperator.from_field(StructuredGrid.from_box((0.0, 1.0, 0.0, 0.8), 41, 37), catalog("mat4")),
-        lambda: CorrectorOperator.from_field(StructuredGrid.square(1.0, 40), catalog("mat4"), "periodic"),
-        lambda: CorrectorOperator.from_field(StructuredGrid.from_box((0.0, 1.0, 0.0, 0.8), 41, 38), catalog("mat2"),
+        lambda: CorrectorOperator.from_field(StructuredGrid.square(1.0, 160), catalog("mat4")),  # even halvings
+        lambda: CorrectorOperator.from_field(StructuredGrid.from_box((0.0, 1.0, 0.0, 0.8), 161, 145), catalog("mat4")),
+        lambda: CorrectorOperator.from_field(StructuredGrid.square(1.0, 160), catalog("mat4"), "periodic"),
+        lambda: CorrectorOperator.from_field(StructuredGrid.from_box((0.0, 1.0, 0.0, 0.8), 161, 151), catalog("mat2"),
                                              "periodic"),
-        lambda: CorrectorOperator.from_field(_batch_of_patches(48, 30), catalog("mat4")),
-        lambda: _lattice_operator(default_pattern(), 64),
+        lambda: CorrectorOperator.from_field(_batch_of_patches(192, 120), catalog("mat4")),
+        lambda: _lattice_operator(default_pattern(), 128),
     ],
 )
 def test_mass_levels_are_galerkin_products_on_the_stiffness_pattern(make):
