@@ -31,7 +31,6 @@ from .corrector import (
     residual_identity_check,
     richardson_combine,
     solve_ladder,
-    solve_regularized,
 )
 from .grid import (
     CorrectorOperator,
@@ -39,7 +38,6 @@ from .grid import (
     SolverError,
     SparseSystem,
     StructuredGrid,
-    assemble,
     gradient_field,
     solve,
 )

@@ -166,6 +166,11 @@ class Filter:
         return out
 
 
+def _check_L(L: float) -> None:
+    if not 0.0 < L < math.inf:  # also rejects NaN
+        raise ValueError(f"averaging window L must be positive and finite, got {L!r}")
+
+
 def _support(values: np.ndarray) -> slice:
     """The contiguous index range of the rows of `values` that hold a nonzero."""
     nz = np.flatnonzero(values.reshape(len(values), -1).any(axis=1))
@@ -207,6 +212,7 @@ def filtered_average(
     exactly and implements the clipped-window normalization used by the
     multiscale solver when Q_L sticks out of the computational domain.
     """
+    _check_L(L)
     if center is None:
         center = grid.center
     half_x = 0.5 * grid.nx * grid.hx
@@ -219,13 +225,6 @@ def filtered_average(
         raise ValueError("filter mass vanishes on the grid (window too small?)")
     values = np.asarray(values).reshape(grid.nx, grid.ny, 4)[cells].ravel()
     return float(np.dot(w, values)) / mass
-
-
-def filter_quadrature_mass(grid: StructuredGrid, filt: Filter, L: float, center=None) -> float:
-    """Quadrature mass of mu_L on the grid (1 up to quadrature error)."""
-    if center is None:
-        center = grid.center
-    return float((filt.window(grid, L, center)[1] * grid.quad_weight()).sum())
 
 
 @dataclass
@@ -375,6 +374,7 @@ def _window_tensors(grids, bc, A_q, primal, dual, filt, L, centers, project):
 
 
 def _hom_tensor(field, R, n, T, k, L, filt, rel_tol, project, bundle=None):
+    _check_L(L)
     if L > R:
         raise ValueError(f"averaging window L={L} exceeds the box half-width R={R}")
     grid = StructuredGrid.square(R, n)

@@ -250,7 +250,7 @@ def main(argv=None):
 
     c = sub.add_parser("corrector", help="solve a regularized/extrapolated box corrector")
     c.add_argument("--field", required=True)
-    c.add_argument("--R", type=float, required=True)
+    c.add_argument("--R", type=_positive, required=True)
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--T", type=_parse_T, default="auto", help="'auto' (= R/100), 'inf', or a number")
     c.add_argument("--k", type=_positive_int, default=1)
@@ -262,11 +262,11 @@ def main(argv=None):
 
     hcmd = sub.add_parser("homogenize", help="windowed homogenized tensor")
     hcmd.add_argument("--field", required=True)
-    hcmd.add_argument("--R", type=float, required=True)
+    hcmd.add_argument("--R", type=_positive, required=True)
     hcmd.add_argument("--n", type=int, required=True)
     hcmd.add_argument("--T", type=_parse_T, default="auto", help="'auto' (= R/100), 'inf', or a number")
     hcmd.add_argument("--k", type=_positive_int, default=1)
-    hcmd.add_argument("--L", type=float, default=None)
+    hcmd.add_argument("--L", type=_positive, default=None)
     hcmd.add_argument("--p", default="3")
     hcmd.add_argument("--variant", choices=("prime", "projected"), default="projected")
     hcmd.add_argument("--csv", default=None)

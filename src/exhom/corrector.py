@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import mpmath
 import numpy as np
@@ -49,7 +49,6 @@ from .grid import (
 __all__ = [
     "CorrectorSolution",
     "solve_ladder",
-    "solve_regularized",
     "corrector_ladder",
     "extrapolate",
     "richardson_combine",
@@ -120,22 +119,6 @@ def _solve_rung(op, T, xis, ladders, dual, rel_tol):
         ladder.append(CorrectorSolution(grid=op.grid, u=u, T=T, k=1, xi=xi, dual=dual))
 
 
-def solve_regularized(
-    grid: StructuredGrid,
-    field: CoefficientField,
-    T: float,
-    xi,
-    dual: bool = False,
-    rel_tol: float = 1e-10,
-) -> CorrectorSolution:
-    """Solve the zero-order-regularized corrector problem on the grid's box.
-
-    T = inf gives the naive (unregularized) Dirichlet approximation.  Dual
-    solves use the transpose field.
-    """
-    return corrector_ladder(grid, field, T, 1, xi, dual=dual, rel_tol=rel_tol)[0]
-
-
 def corrector_ladder(
     grid: StructuredGrid,
     field: CoefficientField,
@@ -145,7 +128,11 @@ def corrector_ladder(
     dual: bool = False,
     rel_tol: float = 1e-10,
 ) -> list[CorrectorSolution]:
-    """Base solves at T, 2T, ..., 2^{kmax-1} T (warm-started up the ladder)."""
+    """Base solves at T, 2T, ..., 2^{kmax-1} T (warm-started up the ladder) of one direction xi.
+
+    T = inf (with kmax = 1) gives the naive (unregularized) Dirichlet
+    approximation.  Dual solves use the transpose field.
+    """
     op = CorrectorOperator.from_field(grid, field.transpose() if dual else field)
     return solve_ladder(op, T, kmax, [xi], dual=dual, rel_tol=rel_tol)[0]
 
@@ -167,12 +154,9 @@ def richardson_weights(k: int) -> list[Fraction]:
     return table[0]
 
 
-def richardson_combine(vectors: Sequence[np.ndarray], k: Optional[int] = None) -> np.ndarray:
-    """Combine base solutions at T, 2T, ..., 2^{k-1}T into the level-k iterate."""
-    k = len(vectors) if k is None else k
-    if len(vectors) != k:
-        raise ValueError("need exactly k base vectors")
-    return sum(float(w) * np.asarray(v, dtype=float) for w, v in zip(richardson_weights(k), vectors))
+def richardson_combine(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Combine k base solutions at T, 2T, ..., 2^{k-1}T into the level-k iterate."""
+    return sum(float(w) * np.asarray(v, dtype=float) for w, v in zip(richardson_weights(len(vectors)), vectors))
 
 
 def extrapolate(solutions: Sequence[CorrectorSolution]) -> CorrectorSolution:
@@ -206,7 +190,7 @@ def extrapolate(solutions: Sequence[CorrectorSolution]) -> CorrectorSolution:
         if not math.isclose(s.T, T * 2.0**j, rel_tol=1e-12):
             raise ValueError("T values must form the dyadic ladder T, 2T, 4T, ...")
     combined = richardson_combine([s.u.values for s in solutions])
-    u = DofVector(combined, first.grid, first.u.bc, first.u.pinned)
+    u = DofVector(combined, first.grid, first.u.bc)
     return CorrectorSolution(grid=first.grid, u=u, T=T, k=k, xi=first.xi, dual=first.dual)
 
 

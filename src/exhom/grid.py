@@ -3,21 +3,21 @@
 Uniform tensor-product grids on axis-aligned rectangles, bilinear (Q1)
 elements, 2x2 Gauss quadrature per cell, coefficient evaluated pointwise at
 the quadrature points.  Boundary treatments: homogeneous Dirichlet or
-periodic (with the zero-mean constraint realized by pinning one node when
-the zero-order term vanishes).
+periodic.  A `DofVector` always holds a value on every free dof of its grid.
 
 A `CorrectorOperator` is built once per (field, grid, bc).  It evaluates A
 at the quadrature points once, sums the cell stiffness matrices (one
 (cells, 16) @ (16, 16) product) into the nine-point stiffness K on the free
-dofs, and holds the mass M and the loads -int grad(psi) . A e_i.  The mass
-of a uniform grid is a Kronecker product of 1-D factors,
-M = diag(w) (x) Mx (x) My: for Q1 the 1-D P1 masses of unit cells with
-w = hx hy, for the lattice identity factors with w = 1.  It is written from
-its 1-D factors straight onto the nine-point rows, with no pass over the
-cells.  K and M are filled on one sparsity pattern, built (and, on periodic
-grids, sorted) once per level, so they share their index arrays.  Every
-zero-order shift s = 1/T is then the system (K + s M) x = b, a sum of data
-arrays, so a dyadic ladder in T re-assembles nothing.
+dofs, and holds the mass M and the loads -int grad(psi) . A e_i
+(`source_load` gives int f psi).  The mass of a uniform grid is a
+Kronecker product of 1-D factors, M = diag(w) (x) Mx (x) My: for Q1 the
+1-D P1 masses of unit cells with w = hx hy, for the lattice identity
+factors with w = 1.  It is written from its 1-D factors straight onto the
+nine-point rows, with no pass over the cells.  K and M are filled on one
+sparsity pattern, built (and, on periodic grids, sorted) once per level, so
+they share their index arrays.  Every zero-order shift s = 1/T is then the
+system (K + s M) x = b, a sum of data arrays, so a dyadic ladder in T
+re-assembles nothing.
 
 The assembly carries a leading batch axis: an operator is built for a
 batch of grids that share their cell counts (nx, ny) and bc, each with its
@@ -53,12 +53,17 @@ batch halves alike in every block, so its prolongations are I_B (x) P and
 every level stays block-diagonal.  The solve of a batched system is
 equilibrated, so each block meets the tolerance relative to its own
 right-hand side (see `solve`).
+
+A periodic system without shift is singular (constants solve it); `solve`
+pins its first free dof to zero internally and still returns every free
+dof, so callers that want the zero-mean representative subtract the mean.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -75,11 +80,10 @@ __all__ = [
     "DofVector",
     "SolverError",
     "CorrectorOperator",
-    "assemble",
-    "mass_matrix",
     "solve",
     "gradient_field",
     "values_at_quad",
+    "interpolate_gradient",
 ]
 
 _G = 1.0 / np.sqrt(3.0)
@@ -123,6 +127,11 @@ def _shape_values(xi, eta):
     return N, dN
 
 
+def _check_spacing(hx: float, hy: float) -> None:
+    if not (0.0 < hx < math.inf and 0.0 < hy < math.inf):  # also rejects NaN
+        raise ValueError(f"grid spacing must be positive and finite, got hx={hx!r}, hy={hy!r}")
+
+
 class SolverError(RuntimeError):
     def __init__(self, message, residual=None):
         super().__init__(message)
@@ -146,6 +155,7 @@ class StructuredGrid:
         if n < 2:
             raise ValueError("need n >= 2 cells per dimension")
         h = 2.0 * R / n
+        _check_spacing(h, h)
         return cls(center[0] - R, center[1] - R, n, n, h, h)
 
     @classmethod
@@ -153,7 +163,9 @@ class StructuredGrid:
         x0, x1, y0, y1 = bounds
         if nx < 2 or ny < 2:
             raise ValueError("need at least 2 cells per dimension")
-        return cls(x0, y0, nx, ny, (x1 - x0) / nx, (y1 - y0) / ny)
+        hx, hy = (x1 - x0) / nx, (y1 - y0) / ny
+        _check_spacing(hx, hy)
+        return cls(x0, y0, nx, ny, hx, hy)
 
     # square-grid conveniences used throughout the corrector modules
     @property
@@ -177,10 +189,6 @@ class StructuredGrid:
             self.x0 + 0.5 * self.nx * self.hx,
             self.y0 + 0.5 * self.ny * self.hy,
         )
-
-    @property
-    def n_nodes(self):
-        return (self.nx + 1) * (self.ny + 1)
 
     def node_coords(self):
         xs = self.x0 + self.hx * np.arange(self.nx + 1)
@@ -230,8 +238,8 @@ class SparseSystem:
     symmetric: bool
     grid: Optional[StructuredGrid] = None
     bc: str = "dirichlet0"
-    pinned: bool = False  # periodic singular system with node 0 removed
-    multigrid: Optional["Multigrid"] = dataclasses.field(default=None, repr=False)
+    pinned: bool = False  # periodic singular system with free dof 0 removed (`solve`)
+    multigrid: Optional["_Multigrid"] = dataclasses.field(default=None, repr=False)
     blocks: int = 1
 
 
@@ -242,22 +250,19 @@ class DofVector:
     values: np.ndarray
     grid: StructuredGrid
     bc: str
-    pinned: bool = False
 
     def nodal(self) -> np.ndarray:
         """Expand to the full (nx+1, ny+1) nodal array."""
-        return _nodal(self.values[None], self.grid.nx, self.grid.ny, self.bc, self.pinned)[0]
+        return _nodal(self.values[None], self.grid.nx, self.grid.ny, self.bc)[0]
 
 
-def _nodal(values: np.ndarray, nx: int, ny: int, bc: str, pinned: bool = False) -> np.ndarray:
+def _nodal(values: np.ndarray, nx: int, ny: int, bc: str) -> np.ndarray:
     """(B, nx+1, ny+1) nodal arrays of B stacked free-dof vectors, (B, nfree)."""
     B = values.shape[0]
     if bc == "dirichlet0":
         out = np.zeros((B, nx + 1, ny + 1))
         out[:, 1:-1, 1:-1] = values.reshape(B, nx - 1, ny - 1)
         return out
-    if pinned:
-        values = np.concatenate([np.zeros((B, 1)), values], axis=1)
     per = values.reshape(B, nx, ny)
     out = np.empty((B, nx + 1, ny + 1))
     out[:, :nx, :ny] = per
@@ -379,7 +384,7 @@ def _stencil_data(grids, bc: str, local: np.ndarray) -> np.ndarray:
     """Sum cell matrices into (B * n, 9) nine-point rows on the free dofs.
 
     `local` holds one 4x4 matrix per cell of every grid (B * ncells * 16
-    values, grid- then cell-major).  Periodic rows are unpinned.
+    values, grid- then cell-major).
     """
     B, nx, ny = len(grids), grids[0].nx, grids[0].ny
     local = local.reshape(B, nx, ny, 4, 4)
@@ -632,7 +637,7 @@ class _BandFactor:
         return x
 
 
-class Multigrid:
+class _Multigrid:
     """Symmetric V-cycle on levels A_0 (finest) ... A_L, used as M^{-1}.
 
     One damped-Jacobi sweep before and one after each coarse correction,
@@ -757,19 +762,26 @@ class CorrectorOperator:
         return [DofVector(v, g, self.bc) for g, v in zip(self.grids, values.reshape(len(self.grids), -1))]
 
     def rhs(self, xi) -> np.ndarray:
-        """-int grad(psi) . A xi on the free dofs (unpinned)."""
+        """-int grad(psi) . A xi on the free dofs."""
         xi = np.asarray(xi, dtype=float)
         return xi[0] * self.loads[0] + xi[1] * self.loads[1]
 
+    def source_load(self, f) -> np.ndarray:
+        """int f psi on the free dofs, for f a callable on points, by 2x2 Gauss quadrature."""
+        N = np.stack([_shape_values(*gp)[0] for gp in GAUSS_POINTS])  # (gauss point, local node)
+        fq = np.stack([np.asarray(f(g.quad_points()), dtype=float).reshape(-1, 4) for g in self.grids])
+        return _cell_sum(self.grids, self.bc, _quad_weights(self.grids)[:, None, None] * fq @ N)
+
     def matrix(self, inv_T: float) -> sp.csr_matrix:
-        """K + inv_T M (unpinned)."""
+        """K + inv_T M on the free dofs."""
         return _shifted(self.K, self.M, inv_T)
 
     def systems(self, inv_T: float, rhs_list) -> list:
         """Systems (K + inv_T M) x = b for each b, sharing one hierarchy.
 
-        A periodic operator without shift pins node 0 (the constant null
-        space); the right-hand sides are then restricted accordingly.
+        A periodic operator without shift pins free dof 0 (the constant null
+        space) and leaves it out of the right-hand sides; `solve` puts it
+        back as zero.
         """
         if inv_T < 0:
             raise ValueError("inv_T must be nonnegative")
@@ -783,7 +795,7 @@ class CorrectorOperator:
         if pinned:
             levels, P, R = ([_pin(A) for A in mats] for mats in (levels, P, R))
         order = _band_order(*self.shapes[-1], self.bc, len(self.grids), pinned)
-        mg = Multigrid(levels, self.symmetric, P, R, order)
+        mg = _Multigrid(levels, self.symmetric, P, R, order)
         return [
             SparseSystem(
                 matrix=levels[0], rhs=b[1:] if pinned else b, symmetric=self.symmetric,
@@ -794,39 +806,6 @@ class CorrectorOperator:
 
     def system(self, inv_T: float, rhs: np.ndarray) -> SparseSystem:
         return self.systems(inv_T, [rhs])[0]
-
-
-def assemble(
-    grid: StructuredGrid,
-    field: CoefficientField,
-    inv_T: float,
-    xi: Optional[np.ndarray] = None,
-    bc: str = "dirichlet0",
-    source=None,
-) -> SparseSystem:
-    """Assemble T^{-1} u - div(A (xi + grad u)) = f in weak Q1 form.
-
-    The right-hand side collects -int grad(psi) . A xi (when `xi` is given)
-    and int f psi (when `source`, a callable on points, is given).
-
-    For bc='periodic' with inv_T == 0 the constant null space is removed by
-    pinning node 0; the system is marked `pinned` and solutions should be
-    recentered by the caller when a zero-mean representative is wanted.
-    """
-    op = CorrectorOperator.from_field(grid, field, bc)
-    rhs = op.rhs((0.0, 0.0) if xi is None else xi)
-    if source is not None:
-        fvals = np.asarray(source(grid.quad_points()), dtype=float).reshape(-1, 4)
-        N = np.stack([_shape_values(*gp)[0] for gp in GAUSS_POINTS])  # (g, i)
-        rhs = rhs + _cell_sum((grid,), bc, grid.quad_weight() * fvals @ N)
-    return op.system(inv_T, rhs)
-
-
-def mass_matrix(grid: StructuredGrid, bc: str = "dirichlet0", pinned: bool = False) -> sp.csr_matrix:
-    """Q1 consistent mass matrix on the free dofs, from its 1-D factors (as `CorrectorOperator`)."""
-    _check_bc(bc)
-    (M,) = _stencil_matrices(grid.nx, grid.ny, bc, 1, [_mass_rows(_q1_mass_factors((grid,), bc), bc)])
-    return _pin(M) if bc == "periodic" and pinned else M
 
 
 def solve(
@@ -843,6 +822,10 @@ def solve(
     stops after one iteration.  A zero right-hand side short-circuits to
     the zero vector.
 
+    A pinned system (periodic, no shift) leaves free dof 0 out of its
+    matrix and right-hand side; the result puts it back as zero, so it
+    covers every free dof, and a warm start `x0` does too.
+
     A system of several blocks is solved equilibrated: each block's
     right-hand side and warm start are scaled to unit norm (the blocks do
     not couple, so this scales each block's solution alike), and one Krylov
@@ -856,12 +839,14 @@ def solve(
     """
     if not (0.0 < rel_tol <= 1e-4):
         raise ValueError("rel_tol must lie in (0, 1e-4]")
-    b, blocks = system.rhs, system.blocks
+    b, blocks, pin = system.rhs, system.blocks, int(system.pinned)
     bnorms = np.linalg.norm(b.reshape(blocks, -1), axis=1)
     if not bnorms.any():
-        return DofVector(np.zeros_like(b), system.grid, system.bc, system.pinned)
+        return DofVector(np.zeros(pin + b.size), system.grid, system.bc)
+    if x0 is not None:
+        x0 = x0[pin:]
     A = system.matrix
-    mg = system.multigrid if system.multigrid is not None else Multigrid([A], system.symmetric)
+    mg = system.multigrid if system.multigrid is not None else _Multigrid([A], system.symmetric)
     M = spla.LinearOperator(A.shape, matvec=mg, dtype=float)
     krylov = spla.cg if system.symmetric else spla.bicgstab
     x, ref = x0, bnorms  # ref: the block norms of the right-hand side solved for
@@ -886,7 +871,9 @@ def solve(
         if res.max() <= rel_tol:
             if blocks > 1:
                 x = _blockwise(x, bnorms)
-            return DofVector(x, system.grid, system.bc, system.pinned)
+            if pin:
+                x = np.concatenate([[0.0], x])
+            return DofVector(x, system.grid, system.bc)
         if info != 0:
             break
     worst = int(np.argmax(res))
@@ -933,16 +920,16 @@ def gradient_field(u: DofVector, cells=None) -> np.ndarray:
     matching rows of the full gradient bitwise, because every entry is the
     same elementwise sum over the cell's four corners.
     """
-    return _gradients(u.values[None], (u.grid,), u.bc, cells, u.pinned)[0].T
+    return _gradients(u.values[None], (u.grid,), u.bc, cells)[0].T
 
 
-def _gradients(values: np.ndarray, grids, bc: str, cells=None, pinned: bool = False) -> np.ndarray:
+def _gradients(values: np.ndarray, grids, bc: str, cells=None) -> np.ndarray:
     """`gradient_field` of B stacked free-dof vectors (B, nfree) on grids of one shape, axis first.
 
     Returns (B, 2, 4 * ncells): entry [b, a, p] is component a at point p
     of grid b, the same sum as `gradient_field` on that grid alone.
     """
-    corners = _cell_corners(_nodal(values, grids[0].nx, grids[0].ny, bc, pinned), cells)
+    corners = _cell_corners(_nodal(values, grids[0].nx, grids[0].ny, bc), cells)
     D = _physical_shape_gradients(grids)  # (grid, gauss point, local node, axis)
     out = np.empty((len(grids), 2, corners[0].shape[1], 4))
     for g in range(4):

@@ -20,6 +20,10 @@ Pipeline, per coarse P1 triangle on a rectangular domain D:
 3. solve the coarse P1 problem with that coefficient;
 4. reconstruct fine-scale gradients with numerical correctors driven by the
    element averages of the coarse gradient.
+
+`fine_reference` is the single-scale solve these are compared with: the
+same `CorrectorOperator` on the whole domain, with no shift and the source
+load in place of the corrector loads.
 """
 
 from __future__ import annotations
@@ -39,7 +43,6 @@ from .grid import (
     DofVector,
     SparseSystem,
     StructuredGrid,
-    assemble,
     gradient_field,
     interpolate_gradient,
     solve,
@@ -56,6 +59,8 @@ __all__ = [
     "coarse_solve",
     "P1Function",
     "numerical_corrector",
+    "reconstructed_gradient",
+    "HMMResult",
     "hmm_solve",
     "fine_reference",
     "h1_distance",
@@ -471,8 +476,8 @@ def fine_reference(
     """Single-scale Dirichlet solve of -div(A_eps grad u) = f on D."""
     ax, ay = extent
     grid = StructuredGrid.from_box((0.0, ax, 0.0, ay), int(round(ax / h_ref)), int(round(ay / h_ref)))
-    system = assemble(grid, field_eps, 0.0, xi=None, bc="dirichlet0", source=f)
-    return solve(system, rel_tol=rel_tol)
+    op = CorrectorOperator.from_field(grid, field_eps)
+    return solve(op.system(0.0, op.source_load(f)), rel_tol=rel_tol)
 
 
 def h1_distance(u_fine: DofVector, u_coarse: P1Function) -> tuple:

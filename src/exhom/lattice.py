@@ -24,7 +24,10 @@ S-cell box: the five-point matrix K with identity mass, stored on K's
 pattern and given by the identity factors I (x) I for the coarse levels, so
 rung j of the dyadic ladder solves (K + I / (2^j T)) x = b_xi with the same
 multigrid preconditioned Krylov solver as the Q1 correctors (grid.py), and
-both directions of a tensor share one operator.
+both directions of a tensor share one operator.  A box corrector is the
+`CorrectorSolution` that `extrapolate` builds on the box's grid, the S x S
+unit cells of the box, whose nodal values are the site values (zero on the
+boundary).
 """
 
 from __future__ import annotations
@@ -37,13 +40,12 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .averaging import Filter, _support
-from .corrector import extrapolate, solve_ladder
+from .averaging import Filter, _check_L, _support
+from .corrector import CorrectorSolution, extrapolate, solve_ladder
 from .grid import CorrectorOperator, StructuredGrid, _on_pattern
 
 __all__ = [
     "LatticeField",
-    "LatticeCorrector",
     "PUBLISHED_CELL_VALUE",
     "default_pattern",
     "weave_pattern",
@@ -136,7 +138,7 @@ def weave_pattern() -> LatticeField:
 
 
 def _cell_system(field: LatticeField):
-    """Assemble the 4x4-torus cell problem (node 0 pinned) for xi = e1, e2."""
+    """Assemble the 4x4-torus cell problem for xi = e1, e2 (node 0 is fixed at zero by its solver)."""
     N = P * P
 
     def node(i, j):
@@ -202,21 +204,6 @@ def exact_cell_hom_rational(field: LatticeField) -> list:
     return [[val / (P * P) for val in row] for row in A]
 
 
-@dataclass
-class LatticeCorrector:
-    """Nodal corrector values on the box {-S/2..S/2}^2 (zeros on the boundary)."""
-
-    nodal: np.ndarray  # (S+1, S+1)
-    R: int  # box side in lattice units
-    T: float
-    k: int
-    xi: np.ndarray
-
-    @property
-    def S(self) -> int:
-        return self.nodal.shape[0] - 1
-
-
 def _box_offsets(R: int):
     if R % 2 != 0 or R < 8:
         raise ValueError("box side R must be an even integer >= 8")
@@ -275,10 +262,7 @@ def _lattice_operator(field: LatticeField, R: int) -> CorrectorOperator:
 
 def _box_correctors(field: LatticeField, R: int, T: float, k: int, xis, rel_tol: float) -> list:
     """Extrapolated correctors for each xi, sharing one box operator."""
-    ladders = solve_ladder(_lattice_operator(field, R), T, k, xis, rel_tol=rel_tol)
-    return [
-        LatticeCorrector(nodal=extrapolate(lad).u.nodal(), R=R, T=T, k=k, xi=lad[0].xi) for lad in ladders
-    ]
+    return [extrapolate(lad) for lad in solve_ladder(_lattice_operator(field, R), T, k, xis, rel_tol=rel_tol)]
 
 
 def lattice_corrector(
@@ -288,7 +272,7 @@ def lattice_corrector(
     k: int = 1,
     xi=(1.0, 0.0),
     rel_tol: float = 1e-12,
-) -> LatticeCorrector:
+) -> CorrectorSolution:
     """Solve (and dyadically extrapolate) the discrete box corrector.
 
     R is the box side in lattice units (R/4 periodic cells per dimension);
@@ -299,16 +283,15 @@ def lattice_corrector(
     return _box_correctors(field, R, T, k, [xi], rel_tol)[0]
 
 
-def lattice_energy_identity(field: LatticeField, corr: LatticeCorrector) -> float:
+def lattice_energy_identity(field: LatticeField, corr: CorrectorSolution) -> float:
     """Relative defect of T^{-1}||phi||^2 + <grad phi, A grad phi> = -<grad phi, A xi>.
 
     Valid for base (k = 1) solves; gradients are forward differences over
     all box edges with the corrector extended by zero on the boundary.
     """
-    S = corr.S
-    _, coords = _box_offsets(corr.R)
+    _, coords = _box_offsets(corr.grid.nx)
     ah, av = _edge_arrays(field, coords)
-    phi = corr.nodal
+    phi = corr.u.nodal()
     g1 = phi[1:, :] - phi[:-1, :]  # horizontal edges (S, S+1)
     g2 = phi[:, 1:] - phi[:, :-1]  # vertical edges (S+1, S)
     e_quad = float((ah[:-1, :] * g1 * g1).sum() + (av[:, :-1] * g2 * g2).sum())
@@ -336,10 +319,11 @@ def lattice_hom(
     reproduced exactly.  Only the edges inside the filter's window are
     visited.
     """
+    _check_L(L)
     S, coords = _box_offsets(R)
     if L > S / 2:
         raise ValueError(f"averaging window L={L} exceeds the box half-width {S // 2}")
-    corr = _box_correctors(field, R, T, k, np.eye(2), rel_tol)
+    nodal = [c.u.nodal() for c in _box_correctors(field, R, T, k, np.eye(2), rel_tol)]
 
     # the window: the index ranges, along either axis, of the sites (s) and
     # of the edge midpoints (e) where the filter profile is nonzero; a
@@ -357,8 +341,8 @@ def lattice_hom(
     if mh <= 0 or mv <= 0:
         raise ValueError("filter support contains no edge midpoints")
 
-    g1 = [np.diff(c.nodal[e.start : e.stop + 1, s], axis=0) for c in corr]
-    g2 = [np.diff(c.nodal[s, e.start : e.stop + 1], axis=1) for c in corr]
+    g1 = [np.diff(phi[e.start : e.stop + 1, s], axis=0) for phi in nodal]
+    g2 = [np.diff(phi[s, e.start : e.stop + 1], axis=1) for phi in nodal]
     eye = np.eye(2)
     A = np.zeros((2, 2))
     for a in range(2):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeffs import CoefficientField
-from .grid import CorrectorOperator, DofVector, StructuredGrid, interpolate_gradient, solve
+from .grid import CorrectorOperator, DofVector, StructuredGrid, gradient_field, interpolate_gradient, solve
 
 __all__ = ["PeriodicCorrector", "CellProblemResult", "periodic_cell", "laminate_oracle"]
 
@@ -36,12 +36,6 @@ class PeriodicCorrector:
         pts[:, 1] = g.y0 + np.mod(pts[:, 1] - g.y0, self.period[1])
         return interpolate_gradient(self.u, pts)
 
-    def cell_mean(self) -> float:
-        # periodic Q1 on a uniform grid: the cell integral is the nodal mean
-        return float(self.u.values.mean()) if not self.u.pinned else float(
-            np.concatenate([[0.0], self.u.values]).mean()
-        )
-
 
 @dataclass
 class CellProblemResult:
@@ -53,11 +47,8 @@ class CellProblemResult:
 
 
 def _zero_mean(u: DofVector) -> DofVector:
-    vals = u.values
-    if u.pinned:
-        vals = np.concatenate([[0.0], vals])
-    vals = vals - vals.mean()
-    return DofVector(vals, u.grid, u.bc, pinned=False)
+    # periodic Q1 on a uniform grid: the cell integral is the nodal mean
+    return DofVector(u.values - u.values.mean(), u.grid, u.bc)
 
 
 def periodic_cell(field: CoefficientField, n: int, rel_tol: float = 1e-10) -> CellProblemResult:
@@ -84,19 +75,17 @@ def periodic_cell(field: CoefficientField, n: int, rel_tol: float = 1e-10) -> Ce
     primal = corr(op)
     dual = primal if field.is_symmetric else corr(op.transpose())
 
-    pts = grid.quad_points()
-    w = grid.quad_weight()
-    vol = w * pts.shape[0]
+    # the Gauss points carry equal weights: the cell average is their mean
     A_q = op.A_q.reshape(-1, 2, 2)
     eye = np.eye(2)
     A = np.zeros((2, 2))
-    gp = [interpolate_gradient(c.u, pts) for c in primal]
-    gd = gp if field.is_symmetric else [interpolate_gradient(c.u, pts) for c in dual]
+    gp = [gradient_field(c.u) for c in primal]
+    gd = gp if field.is_symmetric else [gradient_field(c.u) for c in dual]
     for j in range(2):
         fj = eye[j] + gd[j]
         for i in range(2):
             fi = eye[i] + gp[i]
-            A[j, i] = w * np.einsum("qa,qab,qb->", fj, A_q, fi) / vol
+            A[j, i] = np.einsum("qa,qab,qb->", fj, A_q, fi) / len(A_q)
     return CellProblemResult(correctors=primal, dual_correctors=dual, A_hom=A, h=grid.hx, grid=grid)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .averaging import build_filter, hom_tensor_prime, hom_tensor_projected, solve_corrector_bundle
 from .coeffs import CoefficientField, catalog
-from .corrector import corrector_error, solve_regularized
+from .corrector import corrector_error, corrector_ladder
 from .grid import StructuredGrid
 from .lattice import LatticeField, default_pattern, exact_cell_hom, lattice_hom
 from .reference import periodic_cell
@@ -324,7 +324,7 @@ def sweep_ap(
         if naive:
             t0 = time.perf_counter()
             grid = StructuredGrid.square(R, n)
-            phi_naive = solve_regularized(grid, field, math.inf, np.array([1.0, 0.0]), rel_tol=rel_tol)
+            phi_naive = corrector_ladder(grid, field, math.inf, 1, np.array([1.0, 0.0]), rel_tol=rel_tol)[0]
             corr_diff = corrector_error(phi_naive, bundle.primal[0], window=(R / 6.0) / R)
             records.append(
                 StudyRecord(

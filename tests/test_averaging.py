@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from exhom.averaging import (
     _shape4,
     _shape_inf,
     build_filter,
-    filter_quadrature_mass,
     filtered_average,
     hom_tensor_prime,
     hom_tensor_projected,
@@ -21,6 +21,7 @@ from exhom.averaging import (
 from exhom.coeffs import catalog
 from exhom.grid import DofVector, StructuredGrid, gradient_field
 from exhom.hmm import _patch_grid, scaled_field
+from exhom.lattice import default_pattern, lattice_hom
 from exhom.reference import laminate_oracle, periodic_cell
 
 rng = np.random.default_rng(5)
@@ -166,12 +167,33 @@ def test_tensor_window_exceeding_box_raises(make):
     assert make(catalog("mat2"), 2.0, 32, 1.0, 1, 2.0, build_filter(3)).filter_mass > 0.99
 
 
+@pytest.mark.parametrize(
+    "average",
+    [
+        lambda L: hom_tensor_prime(catalog("mat2"), 2.0, 16, 0.1, 1, L, build_filter(3)),
+        lambda L: hom_tensor_projected(catalog("mat2"), 2.0, 16, 0.1, 1, L, build_filter(3)),
+        lambda L: filtered_average(StructuredGrid.square(2.0, 16), np.ones(4 * 16 * 16), build_filter(3), L),
+        lambda L: lattice_hom(default_pattern(), 24, 2.0, 1, L, build_filter("inf")),
+    ],
+    ids=["prime", "projected", "filtered_average", "lattice_hom"],
+)
+@pytest.mark.parametrize("L", [-1.0, 0.0, math.nan])
+def test_window_L_must_be_positive_and_finite(average, L):
+    # L = -1 used to give the tensor of L = 1; L = 0 and NaN ran into
+    # RuntimeWarnings before a misleading "filter mass vanishes"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="averaging window L must be positive and finite"):
+            average(L)
+
+
 @pytest.mark.parametrize("p", [0, 3, 4, "inf"])
 def test_filter_quadrature_mass_near_one(p):
     # collocated 2x2 Gauss reproduces the filter mass; orders 1 and 2 have
     # kinked profiles whose quadrature converges too slowly for this bound
     g = StructuredGrid.square(4.0, 512)
-    assert abs(filter_quadrature_mass(g, build_filter(p), 3.0) - 1.0) < 1e-8
+    _, w = build_filter(p).window(g, 3.0, g.center)
+    assert abs(w.sum() * g.quad_weight() - 1.0) < 1e-8
 
 
 def test_hom_tensor_constant_field():
@@ -294,12 +316,12 @@ def test_window_is_a_ninth_of_the_box_at_L_R_over_3():
 
 def test_gradient_field_on_cells_bitwise_equal_to_full_slice():
     r = np.random.default_rng(11)
-    for grid, bc, pinned in (
-        (StructuredGrid.from_box((0.0, 1.3, -0.2, 0.5), 23, 17), "dirichlet0", False),
-        (StructuredGrid.from_box((0.0, 1.3, -0.2, 0.5), 12, 9), "periodic", True),
+    for grid, bc in (
+        (StructuredGrid.from_box((0.0, 1.3, -0.2, 0.5), 23, 17), "dirichlet0"),
+        (StructuredGrid.from_box((0.0, 1.3, -0.2, 0.5), 12, 9), "periodic"),
     ):
-        n = (grid.nx - 1) * (grid.ny - 1) if bc == "dirichlet0" else grid.nx * grid.ny - pinned
-        u = DofVector(r.standard_normal(n), grid, bc, pinned)
+        n = (grid.nx - 1) * (grid.ny - 1) if bc == "dirichlet0" else grid.nx * grid.ny
+        u = DofVector(r.standard_normal(n), grid, bc)
         full = gradient_field(u).reshape(grid.nx, grid.ny, 4, 2)
         for cells in ((slice(3, 11), slice(0, 5)), (slice(0, grid.nx), slice(grid.ny - 4, grid.ny)),
                       (slice(5, 6), slice(2, 3))):

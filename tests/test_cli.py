@@ -111,6 +111,20 @@ def test_hmm_lengths_must_be_positive_and_finite(capsys, flag, value):
 
 
 @pytest.mark.parametrize("cmd", [
+    ["corrector", "--field", "mat2", "--n", "8", "--R"],
+    ["homogenize", "--field", "mat2", "--n", "8", "--R"],
+    ["homogenize", "--field", "mat2", "--R", "1", "--n", "8", "--L"],
+])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_box_lengths_must_be_positive_and_finite(capsys, cmd, value):
+    # --R -1 used to run on a mirrored grid, and --L -1 to print the tensor of L = 1
+    with pytest.raises(SystemExit) as exc:
+        main([*cmd, value])
+    assert exc.value.code == 2
+    assert cmd[-1] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", [
     ["corrector", "--field", "mat2", "--R", "1", "--n", "8", "--k"],
     ["homogenize", "--field", "mat2", "--R", "1", "--n", "8", "--k"],
     ["lattice", "--R", "16", "--k"],

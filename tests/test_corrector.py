@@ -17,7 +17,6 @@ from exhom.corrector import (
     richardson_combine,
     richardson_weights,
     solve_ladder,
-    solve_regularized,
 )
 from exhom.grid import CorrectorOperator, StructuredGrid, gradient_field
 
@@ -26,13 +25,13 @@ rng = np.random.default_rng(3)
 
 def test_constant_field_gives_zero_corrector():
     grid = StructuredGrid.square(3.0, 24)
-    sol = solve_regularized(grid, catalog("constant:5"), 2.0, (1.0, 0.0))
+    sol = corrector_ladder(grid, catalog("constant:5"), 2.0, 1, (1.0, 0.0))[0]
     assert np.abs(sol.u.values).max() < 1e-10
 
 
 def test_laminate_e2_gives_zero_corrector():
     grid = StructuredGrid.square(3.0, 24)
-    sol = solve_regularized(grid, catalog("laminate"), 2.0, (0.0, 1.0))
+    sol = corrector_ladder(grid, catalog("laminate"), 2.0, 1, (0.0, 1.0))[0]
     assert np.abs(sol.u.values).max() < 1e-10
 
 
@@ -42,13 +41,11 @@ def test_energy_a_priori_bound():
     R = 5.0
     grid = StructuredGrid.square(R, 80)
     T = R / 100.0
-    sol = solve_regularized(grid, field, T, (1.0, 0.0))
+    sol = corrector_ladder(grid, field, T, 1, (1.0, 0.0))[0]
     w = grid.quad_weight()
     g = gradient_field(sol.u)
     grad_sq = w * float(np.sum(g * g))
-    from exhom.grid import mass_matrix
-
-    M = mass_matrix(grid)
+    M = CorrectorOperator.from_field(grid, field).M
     mass_sq = float(sol.u.values @ (M @ sol.u.values))
     area = (2 * R) ** 2
     bound = field.beta_hint**2 / field.alpha_hint * area
@@ -120,8 +117,8 @@ def test_ladder_validation():
 
 def test_dual_equals_primal_for_symmetric_field():
     grid = StructuredGrid.square(3.0, 48)
-    a = solve_regularized(grid, catalog("mat2"), 0.1, (1.0, 0.0), dual=False)
-    b = solve_regularized(grid, catalog("mat2"), 0.1, (1.0, 0.0), dual=True)
+    a = corrector_ladder(grid, catalog("mat2"), 0.1, 1, (1.0, 0.0), dual=False)[0]
+    b = corrector_ladder(grid, catalog("mat2"), 0.1, 1, (1.0, 0.0), dual=True)[0]
     assert np.allclose(a.u.values, b.u.values, atol=1e-12)
 
 
@@ -187,7 +184,7 @@ def test_psi_large_lambda_limit():
 
 def test_T_inf_rejects_extrapolation():
     grid = StructuredGrid.square(3.0, 24)
-    sol = solve_regularized(grid, catalog("mat2"), math.inf, (1.0, 0.0))
+    sol = corrector_ladder(grid, catalog("mat2"), math.inf, 1, (1.0, 0.0))[0]
     assert sol.k == 1
     with pytest.raises(ValueError):
         CorrectorSolution(grid=grid, u=sol.u, T=math.inf, k=2, xi=np.array([1.0, 0.0]))
@@ -195,25 +192,25 @@ def test_T_inf_rejects_extrapolation():
 
 def test_corrector_error_self_is_zero():
     grid = StructuredGrid.square(3.0, 24)
-    sol = solve_regularized(grid, catalog("mat2"), 0.5, (1.0, 0.0))
+    sol = corrector_ladder(grid, catalog("mat2"), 0.5, 1, (1.0, 0.0))[0]
     # the two gradient evaluation paths agree to roundoff
     assert corrector_error(sol, sol, window=0.5) < 1e-28
 
 
 def test_corrector_error_grid_compatibility():
     f = catalog("mat2")
-    a = solve_regularized(StructuredGrid.square(3.0, 24), f, 0.5, (1.0, 0.0))
-    b = solve_regularized(StructuredGrid.square(3.0, 36), f, 0.5, (1.0, 0.0))
+    a = corrector_ladder(StructuredGrid.square(3.0, 24), f, 0.5, 1, (1.0, 0.0))[0]
+    b = corrector_ladder(StructuredGrid.square(3.0, 36), f, 0.5, 1, (1.0, 0.0))[0]
     with pytest.raises(ValueError, match="refinement|aligned"):
         corrector_error(a, b)
-    c = solve_regularized(StructuredGrid.square(2.0, 16), f, 0.5, (1.0, 0.0))
+    c = corrector_ladder(StructuredGrid.square(2.0, 16), f, 0.5, 1, (1.0, 0.0))[0]
     with pytest.raises(ValueError, match="contained"):
         corrector_error(a, c)
 
 
 def test_corrector_error_window_validation():
     grid = StructuredGrid.square(3.0, 24)
-    sol = solve_regularized(grid, catalog("mat2"), 0.5, (1.0, 0.0))
+    sol = corrector_ladder(grid, catalog("mat2"), 0.5, 1, (1.0, 0.0))[0]
     with pytest.raises(ValueError):
         corrector_error(sol, sol, window=0.0)
 
@@ -222,8 +219,8 @@ def test_box_vs_double_box_agree_inside():
     # same h, nested boxes: gradients agree deep inside (exponential cutoff)
     f = catalog("mat2")
     m = 8
-    a = solve_regularized(StructuredGrid.square(6.0, 12 * m), f, 0.25, (1.0, 0.0), rel_tol=1e-10)
-    b = solve_regularized(StructuredGrid.square(12.0, 24 * m), f, 0.25, (1.0, 0.0), rel_tol=1e-10)
+    a = corrector_ladder(StructuredGrid.square(6.0, 12 * m), f, 0.25, 1, (1.0, 0.0), rel_tol=1e-10)[0]
+    b = corrector_ladder(StructuredGrid.square(12.0, 24 * m), f, 0.25, 1, (1.0, 0.0), rel_tol=1e-10)[0]
     err = corrector_error(a, b, window=1.0 / 6.0)
     # measured ~6e-8 at (R - L)/sqrt(T) = 10; the cutoff is exponential
     assert err < 5e-7

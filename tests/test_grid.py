@@ -1,14 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from exhom.coeffs import catalog
 from exhom.grid import (
+    CorrectorOperator,
     SolverError,
     StructuredGrid,
-    assemble,
     gradient_field,
     interpolate_gradient,
-    mass_matrix,
     solve,
     values_at_quad,
 )
@@ -26,31 +27,47 @@ def test_grid_geometry():
     assert g.quad_points().shape == (4 * 144, 2)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: StructuredGrid.square(-2.0, 16),
+        lambda: StructuredGrid.square(0.0, 8),
+        lambda: StructuredGrid.square(math.nan, 8),
+        lambda: StructuredGrid.square(math.inf, 8),
+        lambda: StructuredGrid.from_box((1.0, 0.0, 0.0, 1.0), 4, 4),
+        lambda: StructuredGrid.from_box((0.0, 1.0, 0.0, -math.inf), 4, 4),
+        lambda: StructuredGrid.from_box((0.0, math.nan, 0.0, 1.0), 4, 4),
+    ],
+)
+def test_grid_rejects_spacing_that_is_not_positive_and_finite(make):
+    # square(-2, 16) used to give a mirrored grid with h = -0.25
+    with pytest.raises(ValueError, match="spacing must be positive and finite"):
+        make()
+
+
 def test_rhs_zero_for_constant_field():
-    g = StructuredGrid.square(2.0, 16)
+    op = CorrectorOperator.from_field(StructuredGrid.square(2.0, 16), catalog("constant:4"))
     for xi in ((1.0, 0.0), (0.3, -0.8)):
-        system = assemble(g, catalog("constant:4"), 1.0, xi=np.array(xi))
-        assert np.linalg.norm(system.rhs) < 1e-12
+        assert np.linalg.norm(op.rhs(xi)) < 1e-12
 
 
 def test_rhs_zero_for_laminate_e2():
     # a22 depends only on x1, so div(A e2) = d/dx2 a22 = 0
-    g = StructuredGrid.square(2.0, 16)
-    system = assemble(g, catalog("laminate"), 0.0, xi=np.array([0.0, 1.0]))
-    assert np.linalg.norm(system.rhs) < 1e-12
+    op = CorrectorOperator.from_field(StructuredGrid.square(2.0, 16), catalog("laminate"))
+    assert np.linalg.norm(op.rhs((0.0, 1.0))) < 1e-12
 
 
 def test_mass_matrix_rowsum_and_diagonal():
     # hand-assembled 4-cell patch: row sum h^2, diagonal 4 h^2 / 9
     g = StructuredGrid.square(1.0, 4)
-    M = mass_matrix(g, "dirichlet0")
+    op = CorrectorOperator.from_field(g, catalog("constant:1"))
+    M = op.M
     h = g.h
     center = 4  # node (2,2) of the 3x3 interior
     assert M[center].sum() == pytest.approx(h * h, rel=1e-12)
     assert M[center, center] == pytest.approx(4 * h * h / 9, rel=1e-12)
-    sys1 = assemble(g, catalog("constant:1"), 1.0, xi=None)
-    sys0 = assemble(g, catalog("constant:1"), 0.0, xi=None)
-    Mdiff = (sys1.matrix - sys0.matrix).toarray()
+    b = op.rhs((0.0, 0.0))
+    Mdiff = (op.system(1.0, b).matrix - op.system(0.0, b).matrix).toarray()
     assert np.allclose(Mdiff, M.toarray(), atol=1e-14)
 
 
@@ -62,8 +79,8 @@ def test_manufactured_solution_converges_h2():
     errs = []
     for n in (8, 16, 32):
         g = StructuredGrid.square(R, n)
-        system = assemble(g, catalog("constant:1"), 0.0, xi=None, source=f)
-        u = solve(system, rel_tol=1e-12)
+        op = CorrectorOperator.from_field(g, catalog("constant:1"))
+        u = solve(op.system(0.0, op.source_load(f)), rel_tol=1e-12)
         xs, ys = g.node_coords()
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         errs.append(np.abs(u.nodal() - exact(X, Y)).max())
@@ -72,15 +89,14 @@ def test_manufactured_solution_converges_h2():
 
 
 def test_zero_rhs_returns_zero():
-    g = StructuredGrid.square(1.0, 8)
-    system = assemble(g, catalog("constant:1"), 1.0, xi=None)
-    u = solve(system)
+    op = CorrectorOperator.from_field(StructuredGrid.square(1.0, 8), catalog("constant:1"))
+    u = solve(op.system(1.0, op.rhs((0.0, 0.0))))
     assert np.all(u.values == 0.0)
 
 
 def test_solver_cross_check_symmetric_vs_bicgstab():
-    g = StructuredGrid.square(2.0, 16)
-    system = assemble(g, catalog("mat2"), 2.0, xi=np.array([1.0, 0.0]))
+    op = CorrectorOperator.from_field(StructuredGrid.square(2.0, 16), catalog("mat2"))
+    system = op.system(2.0, op.rhs((1.0, 0.0)))
     rel_tol = 1e-10
     u_cg = solve(system, rel_tol=rel_tol)
     system.symmetric = False  # force the BiCGStab path on the same matrix
@@ -90,27 +106,24 @@ def test_solver_cross_check_symmetric_vs_bicgstab():
 
 
 def test_positive_semidefinite_stiffness():
-    g = StructuredGrid.square(2.0, 12)
-    system = assemble(g, catalog("mat2"), 0.0, xi=None)
-    K = system.matrix
+    K = CorrectorOperator.from_field(StructuredGrid.square(2.0, 12), catalog("mat2")).K
     for _ in range(100):
         v = rng.standard_normal(K.shape[0])
         assert v @ (K @ v) >= -1e-10 * v @ v
 
 
 def test_zero_order_term_definite():
-    g = StructuredGrid.square(2.0, 12)
+    op = CorrectorOperator.from_field(StructuredGrid.square(2.0, 12), catalog("mat2"))
     inv_T = 0.7
-    sys_T = assemble(g, catalog("mat2"), inv_T, xi=None)
-    M = mass_matrix(g, "dirichlet0")
+    A, M = op.system(inv_T, op.rhs((0.0, 0.0))).matrix, op.M
     for _ in range(30):
         v = rng.standard_normal(M.shape[0])
-        assert v @ (sys_T.matrix @ v) >= inv_T * (v @ (M @ v)) * (1 - 1e-10)
+        assert v @ (A @ v) >= inv_T * (v @ (M @ v)) * (1 - 1e-10)
 
 
 def test_galerkin_orthogonality():
-    g = StructuredGrid.square(2.0, 20)
-    system = assemble(g, catalog("mat2"), 1.0, xi=np.array([1.0, 0.0]))
+    op = CorrectorOperator.from_field(StructuredGrid.square(2.0, 20), catalog("mat2"))
+    system = op.system(1.0, op.rhs((1.0, 0.0)))
     rel_tol = 1e-10
     u = solve(system, rel_tol=rel_tol)
     r = system.rhs - system.matrix @ u.values
@@ -123,17 +136,17 @@ def test_galerkin_orthogonality():
 
 def test_nonconvergence_reports_residual():
     g = StructuredGrid.square(2.0, 96)  # halved, so two iterations are not a direct solve
-    system = assemble(g, catalog("mat2"), 0.0, xi=np.array([1.0, 0.0]))
+    op = CorrectorOperator.from_field(g, catalog("mat2"))
+    system = op.system(0.0, op.rhs((1.0, 0.0)))
     with pytest.raises(SolverError) as exc:
         solve(system, rel_tol=1e-10, max_iter=2)
     assert exc.value.residual is not None and exc.value.residual > 1e-10
 
 
 def test_rel_tol_precondition():
-    g = StructuredGrid.square(1.0, 4)
-    system = assemble(g, catalog("constant:1"), 1.0, xi=np.array([1.0, 0.0]))
+    op = CorrectorOperator.from_field(StructuredGrid.square(1.0, 4), catalog("constant:1"))
     with pytest.raises(ValueError):
-        solve(system, rel_tol=1e-3)
+        solve(op.system(1.0, op.rhs((1.0, 0.0))), rel_tol=1e-3)
 
 
 def test_gradient_field_zero_and_linear():
@@ -187,12 +200,19 @@ def test_values_at_quad_of_bilinear():
 
 
 def test_periodic_singular_system_is_pinned():
-    g = StructuredGrid.square(0.5, 8)
-    system = assemble(g, catalog("mat2"), 0.0, xi=np.array([1.0, 0.0]), bc="periodic")
+    op = CorrectorOperator.from_field(StructuredGrid.square(0.5, 8), catalog("mat2"), "periodic")
+    b = op.rhs((1.0, 0.0))
+    system = op.system(0.0, b)
     assert system.pinned
     assert system.matrix.shape[0] == 8 * 8 - 1
     u = solve(system, rel_tol=1e-10)
+    # the solution covers every free dof, the pinned one zero, and solves the unpinned system
+    assert u.values.size == 8 * 8 and u.values[0] == 0.0
+    assert np.linalg.norm(op.K @ u.values - b) <= 1e-9 * np.linalg.norm(b)
     assert u.nodal().shape == (9, 9)
+    # a warm start covers every free dof too
+    warm = solve(system, rel_tol=1e-10, x0=u.values).values
+    assert warm[0] == 0.0 and np.abs(warm - u.values).max() <= 1e-9 * np.abs(u.values).max()
 
 
 def test_rectangular_from_box():

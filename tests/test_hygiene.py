@@ -1,7 +1,9 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and its
+`__all__` lists exactly its public functions and classes.
 
-No linter ships with the project, so this is its guard against dead imports.
-`__init__.py` is exempt: its imports are the package's re-exports.
+No linter ships with the project, so this is its guard against dead imports
+and stale exports.  `__init__.py` is exempt: its imports are the package's
+re-exports.  `cli.py` exports nothing.
 """
 
 import ast
@@ -38,6 +40,39 @@ def test_checker_flags_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def export_mismatches(source: str) -> list:
+    """Public top-level functions and classes missing from `__all__`, and `__all__`
+    entries bound by no top-level statement; `__all__` may also name constants."""
+    tree = ast.parse(source)
+    defs, bound, exported = set(), set(), None
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+            if not node.name.startswith("_"):
+                defs.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {t.id for t in targets if isinstance(t, ast.Name)}
+            if "__all__" in names:
+                exported = set(ast.literal_eval(node.value))
+            bound |= names
+    if exported is None:
+        return ["no __all__"]
+    return sorted(f"{name} (not exported)" for name in defs - exported) + sorted(
+        f"{name} (exported, not defined)" for name in exported - bound
+    )
+
+
+def test_export_checker_flags_missing_and_stale_names():
+    source = "__all__ = ['f', 'gone', 'C']\nC = 1\ndef f(): pass\ndef g(): pass\ndef _h(): pass\nclass K: pass\n"
+    assert export_mismatches(source) == ["K (not exported)", "g (not exported)", "gone (exported, not defined)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "cli.py"], ids=lambda p: p.name)
+def test_all_lists_exactly_the_public_functions_and_classes(path):
+    assert export_mismatches(path.read_text()) == []
 
 
 def test_import_leaves_out_scipy_integrate():

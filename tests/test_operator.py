@@ -24,8 +24,6 @@ from exhom.grid import (
     SparseSystem,
     StructuredGrid,
     _prolongation_1d,
-    assemble,
-    mass_matrix,
     solve,
 )
 from exhom.lattice import _lattice_operator, default_pattern, lattice_hom
@@ -111,8 +109,6 @@ def test_operator_matches_cellwise_assembly(nx, ny, bc, inv_T, name):
     scale = abs(K_ref).max()
     assert abs(system.matrix - K_ref).max() <= 1e-13 * scale
     assert np.abs(system.rhs - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
-    legacy = assemble(grid, field, inv_T, xi=xi, bc=bc)
-    assert abs(legacy.matrix - K_ref).max() <= 1e-13 * scale
     # the dual operator is the transpose field's
     if not field.is_symmetric:
         K_t, b_t = _reference_system(grid, field.transpose(), inv_T, xi, bc)
@@ -239,13 +235,18 @@ def test_coarsening_rule():
 def test_stiffness_and_mass_share_one_sorted_pattern():
     for grid, bc in ((StructuredGrid.square(1.0, 12), "dirichlet0"),
                      (StructuredGrid.from_box((0.0, 1.0, 0.0, 2.0), 9, 2), "periodic")):
-        op = CorrectorOperator.from_field(grid, catalog("mat4"), bc)
+        field = catalog("mat4")
+        op = CorrectorOperator.from_field(grid, field, bc)
         assert np.shares_memory(op.K.indices, op.M.indices) and np.shares_memory(op.K.indptr, op.M.indptr)
         assert op.K.has_canonical_format
         M = op.M.copy()
         op.systems(0.5, [op.rhs((1.0, 0.0))])  # in-place canonicalization would corrupt M
         assert (op.M != M).nnz == 0
-        assert (op.M != mass_matrix(grid, bc)).nnz == 0
+        # the cellwise reference's mass: two large shifts, so the stiffness cancels to roundoff (and
+        # neither shift is 0, where the periodic reference pins a node)
+        s, xi = 1e6, np.array([1.0, 0.0])
+        M_ref = (_reference_system(grid, field, 2 * s, xi, bc)[0] - _reference_system(grid, field, s, xi, bc)[0]) / s
+        assert abs(op.M - M_ref).max() <= 1e-14 * abs(M_ref).max()
 
 
 @pytest.mark.parametrize("name, inv_T, bound", [("mat2", 1.0, 12), ("mat4", 0.0, 8)])
