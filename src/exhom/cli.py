@@ -55,14 +55,29 @@ def _parse_h(s):
     return None if s == "auto" else _positive(s)
 
 
-def _positive_int(s):
+def _integer(s, least, even=False):
+    """An integer of at least `least`, and even if `even`."""
     try:
         v = int(s)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {s!r}") from None
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {s!r}")
+        raise argparse.ArgumentTypeError(f"expected an integer, got {s!r}") from None
+    if v < least or (even and v % 2):
+        raise argparse.ArgumentTypeError(f"must be {'an even integer ' if even else ''}at least {least}, got {s!r}")
     return v
+
+
+def _positive_int(s):
+    return _integer(s, 1)
+
+
+def _cells(s):
+    """Cells per dimension of a grid: an integer of at least 2."""
+    return _integer(s, 2)
+
+
+def _lattice_side(s):
+    """Box side of the lattice in lattice units: an even integer of at least 8."""
+    return _integer(s, 8, even=True)
 
 
 def _parse_xi(s):
@@ -251,7 +266,7 @@ def main(argv=None):
     c = sub.add_parser("corrector", help="solve a regularized/extrapolated box corrector")
     c.add_argument("--field", required=True)
     c.add_argument("--R", type=_positive, required=True)
-    c.add_argument("--n", type=int, required=True)
+    c.add_argument("--n", type=_cells, required=True)
     c.add_argument("--T", type=_parse_T, default="auto", help="'auto' (= R/100), 'inf', or a number")
     c.add_argument("--k", type=_positive_int, default=1)
     c.add_argument("--xi", type=_parse_xi, default="1,0", help="direction 'x1,x2' (normalized)")
@@ -263,7 +278,7 @@ def main(argv=None):
     hcmd = sub.add_parser("homogenize", help="windowed homogenized tensor")
     hcmd.add_argument("--field", required=True)
     hcmd.add_argument("--R", type=_positive, required=True)
-    hcmd.add_argument("--n", type=int, required=True)
+    hcmd.add_argument("--n", type=_cells, required=True)
     hcmd.add_argument("--T", type=_parse_T, default="auto", help="'auto' (= R/100), 'inf', or a number")
     hcmd.add_argument("--k", type=_positive_int, default=1)
     hcmd.add_argument("--L", type=_positive, default=None)
@@ -274,11 +289,11 @@ def main(argv=None):
 
     r = sub.add_parser("reference", help="periodic cell problem / laminate oracle")
     r.add_argument("--field", required=True)
-    r.add_argument("--n", type=int, default=128)
+    r.add_argument("--n", type=_cells, default=128)
     r.set_defaults(func=cmd_reference)
 
     lat = sub.add_parser("lattice", help="exact discrete warm-up pipeline")
-    lat.add_argument("--R", type=int, default=40, help="box side in lattice units")
+    lat.add_argument("--R", type=_lattice_side, default=40, help="box side in lattice units")
     lat.add_argument("--T", type=_parse_T, default="auto", help="'auto' (= R/10), 'inf', or a number")
     lat.add_argument("--k", type=_positive_int, default=1)
     lat.add_argument("--p", default="inf")

@@ -19,7 +19,15 @@ is evaluated and the stiffness assembled once, and rung j solves
 (K + M / (2^j T)) x = b_xi with the multigrid-preconditioned Krylov solver.
 `solve_ladder` runs the rungs in order and, within a rung, every requested
 direction on that shift's hierarchy, warm-starting each direction from its
-previous rung.
+previous rung.  The directions of a rung are independent problems on one
+read-only hierarchy, so on an operator with coarse levels they run at the
+same time when the process may use more than one CPU: the calling thread
+solves the first direction and helper threads the others.  The sparse
+products of the V-cycle release the interpreter lock, so the directions
+overlap.  A single-level system (an HMM patch batch) is one direct band
+solve whose LAPACK calls hold the lock, so its directions run in turn.
+Every direction performs the same arithmetic either way, and the results
+are bitwise those of the serial run.
 
 Two independent consistency checks are provided: the discrete operator
 identity satisfied by the extrapolated iterates, and the scalar resolvent
@@ -29,6 +37,7 @@ identity for the rational functions generated by the same induction.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -97,6 +106,15 @@ def solve_ladder(
     as dual correctors (the caller passes the transpose operator).  On a
     batched operator each solution stacks the batch's grids (its `grid` is
     None) and `op.split` views it per grid.
+
+    When the operator has coarse levels and the process may use more than
+    one CPU, the directions of a rung run concurrently: the calling thread
+    solves the first and min(len(xis), usable CPUs) - 1 helper threads the
+    others.  Single-level systems (direct band solves, whose LAPACK calls
+    hold the interpreter lock) and one-direction ladders run inline and
+    start no thread.  The helpers stop before this function returns, a
+    `SolverError` raised in one reaches the caller, and the results are
+    bitwise those of solving the directions in turn.
     """
     if not T > 0:  # also rejects NaN
         raise ValueError(f"T must be positive, got {T!r}")
@@ -104,18 +122,37 @@ def solve_ladder(
         raise ValueError("T = inf admits no extrapolation (k must be 1)")
     xis = [np.asarray(xi, dtype=float) for xi in xis]
     ladders = [[] for _ in xis]
-    for j in range(kmax):
-        _solve_rung(op, T * 2.0**j, xis, ladders, dual, rel_tol)
+    helpers = min(len(xis), len(os.sched_getaffinity(0))) - 1 if len(op.shapes) > 1 else 0
+    pool = None
+    if helpers > 0:
+        # imported here: the module costs about 13 ms, which `import exhom` does not pay
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(helpers)
+    try:
+        for j in range(kmax):
+            _solve_rung(op, T * 2.0**j, xis, ladders, dual, rel_tol, pool)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return ladders
 
 
-def _solve_rung(op, T, xis, ladders, dual, rel_tol):
+def _solve_rung(op, T, xis, ladders, dual, rel_tol, pool):
     # a function of its own, so that this shift's hierarchy is freed before
     # the next one is built
     systems = op.systems(0.0 if math.isinf(T) else 1.0 / T, [op.rhs(xi) for xi in xis])
-    for xi, system, ladder in zip(xis, systems, ladders):
-        x0 = ladder[-1].u.values if ladder else None
-        u = solve(system, rel_tol=rel_tol, x0=x0)
+
+    def direction(i):
+        x0 = ladders[i][-1].u.values if ladders[i] else None
+        return solve(systems[i], rel_tol=rel_tol, x0=x0)
+
+    if pool is None:
+        us = [direction(i) for i in range(len(xis))]
+    else:
+        futures = [pool.submit(direction, i) for i in range(1, len(xis))]
+        us = [direction(0)] + [f.result() for f in futures]
+    for xi, ladder, u in zip(xis, ladders, us):
         ladder.append(CorrectorSolution(grid=op.grid, u=u, T=T, k=1, xi=xi, dual=dual))
 
 

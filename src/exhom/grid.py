@@ -362,12 +362,13 @@ def _stencil_pattern(nx: int, ny: int, bc: str, B: int) -> tuple:
         indices, counts = cols[keep], keep.sum(axis=1)
     else:  # interior node (i, j) of the (nx-1) x (ny-1) free nodes, in row order
         m, k = nx - 1, ny - 1
-        i = np.arange(m, dtype=np.int32)[:, None, None, None] + d[:, None]
-        j = np.arange(k, dtype=np.int32)[None, :, None, None] + d
-        inx, iny = (i >= 0) & (i < m), (j >= 0) & (j < k)
-        slots, starts = np.flatnonzero(inx & iny), None
-        indices = (i * k + j).ravel()[slots]
-        counts = np.multiply.outer(inx.sum(axis=2).ravel(), iny.sum(axis=3).ravel()).ravel()
+        # the nine-point template less the neighbours beyond each edge
+        keep = np.ones((m, k, 3, 3), dtype=bool)
+        keep[0, :, 0] = keep[-1, :, 2] = keep[:, 0, :, 0] = keep[:, -1, :, 2] = False
+        slots, starts = np.flatnonzero(keep), None
+        template = (np.arange(n, dtype=np.int32)[:, None] + (k * d[:, None] + d).ravel()).ravel()
+        indices = template[keep.ravel()]
+        counts = np.multiply.outer(_neighbours(m), _neighbours(k)).ravel()
     if B > 1:  # block b's columns are offset by b * n, its slots by b * 9n
         b = np.arange(B)[:, None]
         indices = (indices + n * b).ravel()
@@ -378,6 +379,12 @@ def _stencil_pattern(nx: int, ny: int, bc: str, B: int) -> tuple:
     indptr = np.zeros(B * n + 1, dtype=np.int32)
     np.cumsum(counts, out=indptr[1:])
     return indices.astype(np.int32, copy=False), indptr, slots, starts
+
+
+def _neighbours(m: int) -> np.ndarray:
+    """Nodes within one place of each of m nodes in a row: 3 inside, 2 at either end."""
+    a = np.arange(m)
+    return 3 - (a == 0) - (a == m - 1)
 
 
 def _stencil_data(grids, bc: str, local: np.ndarray) -> np.ndarray:
@@ -661,9 +668,17 @@ class _Multigrid:
         if level == len(self.levels) - 1:
             return self.bottom.solve(r)
         A, dinv = self.levels[level], self.dinv[level]
+        # residuals are formed in place: each thread running a cycle holds at
+        # most two vectors of a level besides r
         x = dinv * r
-        x += self.P[level] @ self._cycle(level + 1, self.R[level] @ (r - A @ x))
-        x += dinv * (r - A @ x)
+        t = A @ x
+        coarse = self.R[level] @ np.subtract(r, t, out=t)
+        del t
+        x += self.P[level] @ self._cycle(level + 1, coarse)
+        t = A @ x
+        np.subtract(r, t, out=t)
+        t *= dinv
+        x += t
         return x
 
 
@@ -836,6 +851,11 @@ def solve(
 
     Raises SolverError carrying the achieved relative residual (of the
     worst block) on non-convergence.
+
+    Safe to call from several threads at once on systems that share one
+    hierarchy (the systems of one `CorrectorOperator.systems` call): the
+    V-cycle and the band factor are only read, and every solve keeps its
+    vectors to itself.
     """
     if not (0.0 < rel_tol <= 1e-4):
         raise ValueError("rel_tol must lie in (0, 1e-4]")
@@ -866,7 +886,8 @@ def solve(
         if x is not None:
             kw["x0"] = x
         x, info = krylov(A, b, **kw)
-        rnorms = np.linalg.norm((b - A @ x).reshape(blocks, -1), axis=1)
+        r = A @ x
+        rnorms = np.linalg.norm(np.subtract(b, r, out=r).reshape(blocks, -1), axis=1)
         res = np.divide(rnorms, ref, out=np.zeros_like(rnorms), where=ref > 0)
         if res.max() <= rel_tol:
             if blocks > 1:

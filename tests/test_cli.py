@@ -124,6 +124,28 @@ def test_box_lengths_must_be_positive_and_finite(capsys, cmd, value):
     assert cmd[-1] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd, values", [
+    (["corrector", "--field", "mat2", "--R", "1", "--n"], ["1", "0", "-4", "2.5", "many"]),
+    (["homogenize", "--field", "mat2", "--R", "1", "--n"], ["1", "0", "-4", "2.5", "many"]),
+    (["reference", "--field", "mat2", "--n"], ["1", "0", "-4", "2.5", "many"]),
+    (["lattice", "--R"], ["7", "6", "0", "-8", "9", "16.0", "many"]),
+])
+def test_cell_counts_and_lattice_side_are_checked(capsys, cmd, values):
+    # these used to reach the library and end in a ValueError traceback
+    for value in values:
+        with pytest.raises(SystemExit) as exc:
+            main([*cmd, value])
+        assert exc.value.code == 2
+        assert cmd[-1] in capsys.readouterr().err
+
+
+def test_smallest_cell_count_and_lattice_side_run(capsys):
+    assert main(["corrector", "--field", "mat2", "--R", "1", "--n", "2"]) == 0
+    assert main(["reference", "--field", "mat2", "--n", "2"]) == 0
+    assert main(["lattice", "--R", "8"]) == 0
+    assert "nan" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("cmd", [
     ["corrector", "--field", "mat2", "--R", "1", "--n", "8", "--k"],
     ["homogenize", "--field", "mat2", "--R", "1", "--n", "8", "--k"],

@@ -1,10 +1,15 @@
 import copy
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import exhom.corrector
+from exhom.averaging import solve_corrector_bundle
 from exhom.coeffs import catalog
 from exhom.corrector import (
     CorrectorSolution,
@@ -18,7 +23,7 @@ from exhom.corrector import (
     richardson_weights,
     solve_ladder,
 )
-from exhom.grid import CorrectorOperator, StructuredGrid, gradient_field
+from exhom.grid import CorrectorOperator, SolverError, StructuredGrid, gradient_field
 
 rng = np.random.default_rng(3)
 
@@ -224,3 +229,78 @@ def test_box_vs_double_box_agree_inside():
     err = corrector_error(a, b, window=1.0 / 6.0)
     # measured ~6e-8 at (R - L)/sqrt(T) = 10; the cutoff is exponential
     assert err < 5e-7
+
+
+# -- the directions of a rung solved concurrently ------------------------------
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """Count the threads started while the test runs."""
+    count = [0]
+    start = threading.Thread.start
+
+    def counting(self):
+        count[0] += 1
+        return start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return count
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.mark.parametrize("name", ["mat2", "mat4"])
+def test_concurrent_directions_are_bitwise_the_serial_ones(monkeypatch, thread_starts, name):
+    # 96 x 96 cells halve once, so the rung's hierarchy has a coarse level;
+    # mat4 also solves its duals on the transpose operator
+    field, grid = catalog(name), StructuredGrid.square(2.0, 96)
+    assert len(CorrectorOperator.from_field(grid, field).shapes) == 2
+    ladders = {}
+    interval = sys.getswitchinterval()
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        thread_starts[0] = 0
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            bundle = solve_corrector_bundle(field, grid, 0.5, 2, rel_tol=1e-8)
+        finally:
+            sys.setswitchinterval(interval)
+        ladders[cpus] = [s.u.values for ladder in (*bundle.ladders[0], *bundle.ladders[1]) for s in ladder]
+        assert thread_starts[0] == (cpus - 1) * (1 if field.is_symmetric else 2)  # one helper per ladder
+    assert len(ladders[1]) == 8
+    assert all(np.array_equal(a, b) for a, b in zip(ladders[1], ladders[2]))
+
+
+def test_solver_error_in_a_helper_reaches_the_caller(monkeypatch):
+    _cpus(monkeypatch, 2)
+    op = CorrectorOperator.from_field(StructuredGrid.square(2.0, 96), catalog("mat2"))
+    raised_in = []
+    real_solve = exhom.corrector.solve
+
+    def failing_in_helpers(system, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raised_in.append(threading.current_thread().name)
+            raise SolverError("helper failed", residual=1.0)
+        return real_solve(system, **kwargs)
+
+    monkeypatch.setattr(exhom.corrector, "solve", failing_in_helpers)
+    before = threading.active_count()
+    with pytest.raises(SolverError, match="helper failed"):
+        solve_ladder(op, 0.5, 2, np.eye(2), rel_tol=1e-8)
+    assert len(raised_in) == 1
+    assert threading.active_count() == before
+
+
+def test_single_level_batches_and_one_direction_ladders_start_no_thread(monkeypatch, thread_starts):
+    _cpus(monkeypatch, 2)
+    # HMM patches: one level, a direct band solve per direction
+    boxes = ((0.0, 0.19, 0.1, 0.28), (0.21, 0.4, 0.0, 0.2), (0.5, 0.68, 0.3, 0.49))
+    patches = CorrectorOperator.from_field([StructuredGrid.from_box(b, 24, 24) for b in boxes], catalog("mat2"))
+    assert len(patches.shapes) == 1
+    assert [len(lad) for lad in solve_ladder(patches, 1 / 128, 2, np.eye(2))] == [2, 2]
+    # one direction on a grid that halves
+    assert len(corrector_ladder(StructuredGrid.square(2.0, 96), catalog("mat2"), 0.5, 2, (1.0, 0.0))) == 2
+    assert thread_starts[0] == 0

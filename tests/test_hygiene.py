@@ -82,3 +82,12 @@ def test_import_leaves_out_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
     assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_out_the_thread_pool():
+    # concurrent.futures.thread costs about 13 ms to import; only a ladder
+    # that solves its directions concurrently needs it
+    code = "import sys, exhom; print('concurrent.futures.thread' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.stdout.strip() == "False"

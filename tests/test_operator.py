@@ -24,6 +24,7 @@ from exhom.grid import (
     SparseSystem,
     StructuredGrid,
     _prolongation_1d,
+    _stencil_pattern,
     solve,
 )
 from exhom.lattice import _lattice_operator, default_pattern, lattice_hom
@@ -500,3 +501,18 @@ def test_mass_levels_are_galerkin_products_on_the_stiffness_pattern(make):
     for (K, _), (Kf, _), P in zip(op._coarse, levels, op.prolongations):
         ref = P.T @ Kf @ P
         assert abs(K - ref).max() <= 1e-14 * abs(ref).max()
+
+
+@pytest.mark.parametrize("nx, ny, B", [(2, 2, 1), (2, 7, 1), (9, 2, 2), (5, 5, 3), (17, 11, 1), (24, 24, 4), (40, 33, 2)])
+def test_dirichlet_pattern_is_the_kronecker_product_of_1d_tridiagonal_patterns(nx, ny, B):
+    indices, indptr, slots, starts = _stencil_pattern(nx, ny, "dirichlet0", B)
+    tri = lambda m: sp.csr_matrix(np.abs(np.subtract.outer(np.arange(m), np.arange(m))) <= 1)
+    ref = sp.kron(sp.identity(B, format="csr"), sp.kron(tri(nx - 1), tri(ny - 1)), format="csr")
+    ref.eliminate_zeros()  # kron may store dense blocks
+    ref.sort_indices()
+    assert starts is None and indices.dtype == indptr.dtype == np.int32
+    assert np.array_equal(indptr, ref.indptr) and np.array_equal(indices, ref.indices)
+    # each slot picks (row, neighbour offset (dx, dy)) from the (B * n, 9) rows of `_stencil_data`
+    rows, dx, dy = slots // 9, slots % 9 // 3 - 1, slots % 3 - 1
+    assert np.array_equal(rows, np.repeat(np.arange(B * (nx - 1) * (ny - 1)), np.diff(indptr)))
+    assert np.array_equal(indices, rows + dx * (ny - 1) + dy)
