@@ -235,7 +235,7 @@ def _hmm_preset_records():
     eps = 1.0 / 16.0
     f_src = lambda p: np.ones(p.shape[0])
     u_hom = fine_reference(constant(periodic_cell(field, 128).A_hom), (1.0, 1.0), 1.0 / 256, f_src)
-    for H in (0.5, 0.25):
+    for H in (0.5, 0.25, 0.125):
         t0 = time.perf_counter()
         res = hmm_solve(field, eps, H, f_src, k=1)
         _, _, dh1 = h1_distance(u_hom, res.u)

@@ -217,7 +217,9 @@ def extrapolate(solutions: Sequence[CorrectorSolution]) -> CorrectorSolution:
             s.grid.nx != first.grid.nx
             or s.grid.ny != first.grid.ny
             or abs(s.grid.x0 - first.grid.x0) > 1e-14
+            or abs(s.grid.y0 - first.grid.y0) > 1e-14
             or abs(s.grid.hx - first.grid.hx) > 1e-14
+            or abs(s.grid.hy - first.grid.hy) > 1e-14
         ):
             raise ValueError("ladder solutions live on different grids")
         if not np.allclose(s.xi, first.xi) or s.dual != first.dual:
@@ -315,12 +317,13 @@ def _check_compatible(approx: CorrectorSolution, reference) -> None:
     if not isinstance(reference, CorrectorSolution):
         return  # periodic references interpolate anywhere
     ga, gr = approx.grid, reference.grid
-    ratio = ga.hx / gr.hx
-    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-        raise ValueError("reference grid must be an integer refinement of the approx grid")
-    off = (ga.x0 - gr.x0) / gr.hx
-    if abs(off - round(off)) > 1e-9:
-        raise ValueError("grids are not aligned")
+    for ha, hr, oa, orf in ((ga.hx, gr.hx, ga.x0, gr.x0), (ga.hy, gr.hy, ga.y0, gr.y0)):
+        ratio = ha / hr
+        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+            raise ValueError("reference grid must be an integer refinement of the approx grid")
+        off = (oa - orf) / hr
+        if abs(off - round(off)) > 1e-9:
+            raise ValueError("grids are not aligned")
     if (
         ga.x0 < gr.x0 - 1e-12
         or ga.y0 < gr.y0 - 1e-12

@@ -6,7 +6,11 @@ Pipeline, per coarse P1 triangle on a rectangular domain D:
    element centroid (half-width delta*H/2, clipped to D) with zero-order
    coefficient (T eps^2)^{-1}, for xi = e1, e2 (plus duals when the field is
    non-symmetric), Richardson-extrapolated over the dyadic T ladder.
-   Patches with the same cell counts (nx, ny) are solved together: each
+   On a periodic field, patches that are translates of one another by whole
+   periods (same cell counts and spacings, same origin phase, and for
+   tensors the same window offset) pose one problem: only the first of each
+   translation class is solved, and the others take its result.  The
+   problems left with the same cell counts (nx, ny) are solved together: each
    chunk of at most `BATCH_DOFS` free dofs is one batched operator (one
    field evaluation and one block-diagonal assembly, then per rung one band
    factorization and per rung and direction one Krylov call), with each
@@ -79,8 +83,16 @@ __all__ = [
 #: a shared 2-core Xeon host: 2048 dofs 0.186-0.187 s and 71.7 MB, 4096
 #: 0.156-0.160 s and 74.5 MB, 8192 0.136-0.137 s and 79.5 MB, 16384
 #: 0.137-0.143 s and 88.6 MB, 40000 0.140 s and 108.8 MB.  8192 is where
-#: the time stops falling.
+#: the time stops falling.  These figures predate `_translation_classes`:
+#: that workload now solves 20 patch ladders (2 interior classes and 18
+#: corrector classes), whose batches stay below the cutoff.  It still binds
+#: on non-periodic fields (mat3, mat5), where every patch is solved.
 BATCH_DOFS = 8192
+
+#: Steps per period on which `_translation_classes` rounds lengths and
+#: phases.  Patches one step apart pose problems that differ at round-off
+#: level, and a centroid's own round-off (about 1e-17) is far below a step.
+_PERIOD_STEPS = 10**12
 
 
 def scaled_field(field: CoefficientField, eps: float) -> CoefficientField:
@@ -276,6 +288,39 @@ def local_tensor(
     return _patch_tensors([grid], [centroid], field_eps, T * eps * eps, k, H, filt, rel_tol)[0]
 
 
+def _translation_classes(grids, field_eps: CoefficientField, centers=None) -> tuple:
+    """(representatives, class_of) of the patch problems up to whole-period shifts.
+
+    On a periodic field two patches pose the same problem when they share
+    their cell counts and spacings and their origins differ by whole periods
+    (and, with `centers`, their windows sit at the same offset from their
+    origins).  `representatives` lists the first patch of each class in
+    order of first occurrence, and `class_of[i]` is patch i's index into it.
+    Every patch of a non-periodic field is its own class.
+    """
+    n = len(grids)
+    if field_eps.period is None:
+        return list(range(n)), np.arange(n)
+    px, py = (float(p) for p in field_eps.period)
+
+    def steps(v, p):
+        return round(v / p * _PERIOD_STEPS)
+
+    def phase(v, p):  # a phase just below the period is the phase just above 0
+        return round((v / p) % 1.0 * _PERIOD_STEPS) % _PERIOD_STEPS
+
+    classes, representatives, class_of = {}, [], np.empty(n, dtype=int)
+    for i, g in enumerate(grids):
+        key = (g.nx, g.ny, steps(g.hx, px), steps(g.hy, py), phase(g.x0, px), phase(g.y0, py))
+        if centers is not None:
+            key += (steps(centers[i][0] - g.x0, px), steps(centers[i][1] - g.y0, py))
+        if key not in classes:
+            classes[key] = len(representatives)
+            representatives.append(i)
+        class_of[i] = classes[key]
+    return representatives, class_of
+
+
 def _batches(grids, field_eps: CoefficientField):
     """(patch indices, batched operator) per chunk of at most BATCH_DOFS free dofs.
 
@@ -306,15 +351,17 @@ def _patch_tensors(grids, centers, field_eps, T, k, H, filt, rel_tol) -> np.ndar
     patches of a batch whose windows cover the same block of cells (all
     unclipped patches of one shape) are contracted together.
     """
-    out = np.empty((len(grids), 2, 2))
     centers = np.asarray(centers)
-    for chunk, op in _batches(grids, field_eps):
+    reps, class_of = _translation_classes(grids, field_eps, centers)
+    centers = centers[reps]
+    out = np.empty((len(reps), 2, 2))
+    for chunk, op in _batches([grids[i] for i in reps], field_eps):
         primal = _extrapolated(op, T, k, rel_tol)
         dual = primal if op.symmetric else _extrapolated(op.transpose(), T, k, rel_tol, dual=True)
         out[chunk] = _window_tensors(
             op.grids, op.bc, op.A_q, primal, dual, filt, 0.5 * H, centers[chunk], project=True
         )[0]
-    return out
+    return out[class_of]
 
 
 def build_tensor_map(
@@ -333,7 +380,10 @@ def build_tensor_map(
     An element is 'interior' when its oversampled patch lies inside D.  If
     no element is interior (very coarse meshes), every tensor is computed on
     its clipped patch instead, which is the generic clipped-window form of
-    the approximation.
+    the approximation.  On a periodic field the computed elements whose
+    patches and windows are translates by whole periods form one class: its
+    first element's problem is solved, and every member gets a copy of that
+    tensor.  On a non-periodic field every computed element is solved.
     """
     ax, ay = mesh.extent
     cents = mesh.centroids()
@@ -436,16 +486,21 @@ def numerical_corrector(
 
     with M_i the element average of the coarse gradient; by linearity the
     e1/e2 direction solves are combined with the components of M_i.
-    Patches of equal shape are solved in batches, as in `build_tensor_map`;
-    each gamma is a view into its batch's stacked solution.
+    Patches that are translates by whole periods of a periodic field form
+    one class, as in `build_tensor_map`, and only its first patch is solved;
+    patches of equal shape are solved in batches.  Each gamma is a
+    `DofVector` on its element's own grid whose values are a view into its
+    batch's stacked solution, and the gammas of one class share that array.
     """
     M = u_coarse.element_gradients()
     grids = [_patch_grid(c, 0.5 * delta * mesh.H, mesh.extent, h) for c in mesh.centroids()]
-    gammas = [None] * len(grids)
-    for chunk, op in _batches(grids, field_eps):
+    reps, class_of = _translation_classes(grids, field_eps)
+    solved = [None] * len(reps)
+    for chunk, op in _batches([grids[i] for i in reps], field_eps):
         e1, e2 = (op.split(u) for u in _extrapolated(op, T * eps * eps, kprime, rel_tol))
-        for b, i in enumerate(chunk):
-            gammas[i] = [e1[b], e2[b]]
+        for b, c in enumerate(chunk):
+            solved[c] = (e1[b], e2[b])
+    gammas = [[DofVector(u.values, g, u.bc) for u in solved[c]] for g, c in zip(grids, class_of)]
     return NumericalCorrectorSet(gammas=gammas, grids=grids, M=M, kprime=kprime)
 
 

@@ -191,3 +191,13 @@ def test_study_ap_preset_raises_its_reference_level_with_kmax(tmp_path):
     assert main(["study", "--preset", "mat3", "--rlist", "1", "--kmax", "3", "--out", str(out)]) == 0
     rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
     assert sorted({r[1] for r in rows if r[1].endswith("-tensor")}) == ["k1-tensor", "k2-tensor", "k3-tensor"]
+
+
+def test_study_hmm_preset_records_three_H_and_fits_a_slope(tmp_path, capsys):
+    out = tmp_path / "hmm.csv"
+    assert main(["study", "--preset", "hmm", "--out", str(out)]) == 0
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    assert [float(r[4]) for r in rows] == [2.0, 4.0, 8.0]  # R = 1/H
+    errors = [float(r[9]) for r in rows]
+    assert errors == sorted(errors, reverse=True)
+    assert "mat2-hmm   k1             slope" in capsys.readouterr().out

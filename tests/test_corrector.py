@@ -23,7 +23,7 @@ from exhom.corrector import (
     richardson_weights,
     solve_ladder,
 )
-from exhom.grid import CorrectorOperator, SolverError, StructuredGrid, gradient_field
+from exhom.grid import CorrectorOperator, DofVector, SolverError, StructuredGrid, gradient_field
 
 rng = np.random.default_rng(3)
 
@@ -120,6 +120,20 @@ def test_ladder_validation():
         extrapolate([])
 
 
+def _zero_solution(grid, T=1.0):
+    return CorrectorSolution(grid=grid, u=DofVector(np.zeros((grid.nx - 1) * (grid.ny - 1)), grid, "dirichlet0"),
+                             T=T, k=1, xi=np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("other", [(-1.0, 1.0, -0.5, 1.5), (-1.0, 1.0, -1.0, 2.0)])
+def test_ladder_grids_must_match_on_the_y_axis(other):
+    # the second rung's grid differs from the first only in y0, or only in hy
+    ladder = [_zero_solution(StructuredGrid.from_box((-1.0, 1.0, -1.0, 1.0), 8, 8)),
+              _zero_solution(StructuredGrid.from_box(other, 8, 8), T=2.0)]
+    with pytest.raises(ValueError, match="different grids"):
+        extrapolate(ladder)
+
+
 def test_dual_equals_primal_for_symmetric_field():
     grid = StructuredGrid.square(3.0, 48)
     a = corrector_ladder(grid, catalog("mat2"), 0.1, 1, (1.0, 0.0), dual=False)[0]
@@ -211,6 +225,18 @@ def test_corrector_error_grid_compatibility():
     c = corrector_ladder(StructuredGrid.square(2.0, 16), f, 0.5, 1, (1.0, 0.0))[0]
     with pytest.raises(ValueError, match="contained"):
         corrector_error(a, c)
+
+
+@pytest.mark.parametrize("bounds, ny, match", [
+    ((0.0, 2.0, 0.0, 2.0), 20, "refinement"),  # hy = 0.1 under hy = 0.25
+    ((0.0, 2.0, -0.0625, 2.0625), 17, "aligned"),  # hy = 0.125, nodes offset by half a cell
+])
+def test_corrector_error_checks_the_y_axis(bounds, ny, match):
+    # the x axes refine and align; only y is wrong
+    approx = _zero_solution(StructuredGrid.from_box((0.0, 2.0, 0.0, 2.0), 8, 8))
+    reference = _zero_solution(StructuredGrid.from_box(bounds, 16, ny))
+    with pytest.raises(ValueError, match=match):
+        corrector_error(approx, reference)
 
 
 def test_corrector_error_window_validation():

@@ -279,3 +279,95 @@ def test_patch_setup_runs_once_per_batch_and_rung(monkeypatch, name, factorizati
     corr = numerical_corrector(mesh, u, field_eps, 1 / 16, 2.0, 2, 1.5, 1 / 64, rel_tol=1e-8)
     assert len({(g.nx, g.ny) for g in corr.grids}) == 9
     assert counts == {"factor": factorizations, "krylov": krylov_calls}
+
+
+def _interior_setup(name):
+    # H = 1/4 is four periods of eps = 1/16: the 8 interior patches are
+    # translates of the lower or of the upper triangle's patch
+    return scaled_field(catalog(name), 1 / 16), CoarseMesh.unit_square(0.25), build_filter(3)
+
+
+def test_tensor_map_solves_one_patch_per_translation_class(monkeypatch):
+    field_eps, mesh, filt = _interior_setup("mat2")
+    solved = []
+    from_field = CorrectorOperator.from_field.__func__
+
+    def counting(cls, grids, field, bc="dirichlet0"):
+        solved.extend(grids if isinstance(grids, list) else [grids])
+        return from_field(cls, grids, field, bc)
+
+    monkeypatch.setattr(CorrectorOperator, "from_field", classmethod(counting))
+    args = dict(T=2.0, k=2, delta=1.5, h=1 / 64, filt=filt, rel_tol=1e-8)
+    tmap = build_tensor_map(mesh, field_eps, 1 / 16, **args)
+    assert len(solved) == 2
+    computed = [e for e, p in enumerate(tmap.provenance) if p == "computed"]
+    assert len(computed) == 8
+    for e in computed:
+        # lower triangles have even indices, upper ones odd
+        assert np.array_equal(tmap.tensors[e], tmap.tensors[computed[e % 2]])
+        ref = local_tensor(mesh.centroids()[e], field_eps, 1 / 16, mesh.H, extent=mesh.extent, **args)
+        assert np.abs(tmap.tensors[e] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_translation_classes_round_phases_and_keep_shifts_apart():
+    field_eps = scaled_field(catalog("mat2"), 1 / 16)
+    period, h = 1 / 16, 1 / 64
+    box = lambda x0, y0: exhom.grid.StructuredGrid.from_box((x0, x0 + 0.25, y0, y0 + 0.25), 16, 16)
+    grids = [
+        box(0.1, 0.2),
+        box(0.1 + 3 * period, 0.2 - 2 * period),  # whole periods: merged
+        box(0.1 + h, 0.2),  # one fine cell: a class of its own
+        box(2 * period + 1e-16, 0.0),  # phases just above 0 ...
+        box(5 * period - 1e-16, 0.0),  # ... and just below the period: merged
+        exhom.grid.StructuredGrid.from_box((0.1, 0.35, 0.2, 0.45), 16, 17),  # other cell count
+    ]
+    reps, class_of = exhom.hmm._translation_classes(grids, field_eps)
+    assert reps == [0, 2, 3, 5] and class_of.tolist() == [0, 0, 1, 2, 2, 3]
+    # a window at another offset from its origin is another tensor problem
+    centers = np.array([(g.x0 + 0.125, g.y0 + 0.125) for g in grids])
+    centers[1, 0] += h
+    reps, class_of = exhom.hmm._translation_classes(grids, field_eps, centers)
+    assert reps == [0, 1, 2, 3, 5] and class_of.tolist() == [0, 1, 2, 3, 3, 4]
+    # a non-periodic field shares nothing
+    reps, class_of = exhom.hmm._translation_classes(grids, scaled_field(catalog("mat3"), 1 / 16))
+    assert reps == list(range(6)) and class_of.tolist() == reps
+
+
+def test_non_periodic_patches_are_bitwise_the_per_chunk_path():
+    field_eps, mesh, filt = _interior_setup("mat3")
+    assert field_eps.period is None
+    tmap = build_tensor_map(mesh, field_eps, 1 / 16, T=2.0, k=2, delta=1.5, h=1 / 64, filt=filt, rel_tol=1e-8)
+    computed = [e for e, p in enumerate(tmap.provenance) if p == "computed"]
+    cents = mesh.centroids()
+    grids = [exhom.hmm._patch_grid(cents[e], 0.75 * mesh.H, mesh.extent, 1 / 64) for e in computed]
+    ((chunk, op),) = exhom.hmm._batches(grids, field_eps)
+    primal = exhom.hmm._extrapolated(op, 2.0 / 256, 2, 1e-8)
+    ref = _window_tensors(op.grids, op.bc, op.A_q, primal, primal, filt, 0.5 * mesh.H, cents[computed], True)[0]
+    assert np.array_equal(tmap.tensors[computed], ref)
+
+    u = coarse_solve(mesh, tmap, F_ONE)
+    corr = numerical_corrector(mesh, u, field_eps, 1 / 16, 2.0, 2, 1.5, 1 / 64, rel_tol=1e-8)
+    for chunk, op in exhom.hmm._batches(corr.grids, field_eps):
+        e1, e2 = (op.split(v) for v in exhom.hmm._extrapolated(op, 2.0 / 256, 2, 1e-8))
+        for b, e in enumerate(chunk):
+            assert np.array_equal(corr.gammas[e][0].values, e1[b].values)
+            assert np.array_equal(corr.gammas[e][1].values, e2[b].values)
+
+
+def test_numerical_corrector_members_carry_their_own_grids():
+    field_eps, mesh, _ = _interior_setup("mat2")
+    u = coarse_solve(mesh, 4.0 * np.eye(2), F_ONE)
+    corr = numerical_corrector(mesh, u, field_eps, 1 / 16, 2.0, 2, 1.5, 1 / 64, rel_tol=1e-10)
+    reps, class_of = exhom.hmm._translation_classes(corr.grids, field_eps)
+    assert len(reps) < mesh.n_elements
+    for e, c in enumerate(class_of):
+        rep = corr.gammas[reps[c]]
+        for got, shared in zip(corr.gammas[e], rep, strict=True):
+            assert got.grid == corr.grids[e]
+            assert got.values is shared.values  # a class shares one array
+    # a member that is not its representative matches a solve on its own grid
+    e = next(e for e, c in enumerate(class_of) if reps[c] != e)
+    op = CorrectorOperator.from_field(corr.grids[e], field_eps)
+    own = exhom.hmm._extrapolated(op, 2.0 / 256, 2, 1e-10)[:, 0]
+    for got, ref in zip(corr.gammas[e], own, strict=True):
+        assert np.abs(got.values - ref).max() <= 1e-12 * np.abs(ref).max()
