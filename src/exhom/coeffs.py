@@ -43,6 +43,10 @@ class CoefficientField:
         True if A(x) = A(x)^T everywhere.
     period : (2,) array or None
         Cell lengths for periodic fields; None for almost-periodic fields.
+        Trusted, not checked: the Q1 assembly evaluates A on one period
+        and tiles it (`grid.CorrectorOperator.from_field`), and the HMM
+        solves one patch per translation class, so a wrong period gives a
+        wrong operator and wrong classes without any error.
     alpha_hint, beta_hint : float
         Lower/upper ellipticity hints (refined by `ellipticity_scan`).
     name : str

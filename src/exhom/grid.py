@@ -6,18 +6,22 @@ the quadrature points.  Boundary treatments: homogeneous Dirichlet or
 periodic.  A `DofVector` always holds a value on every free dof of its grid.
 
 A `CorrectorOperator` is built once per (field, grid, bc).  It evaluates A
-at the quadrature points once, sums the cell stiffness matrices (one
-(cells, 16) @ (16, 16) product) into the nine-point stiffness K on the free
-dofs, and holds the mass M and the loads -int grad(psi) . A e_i
-(`source_load` gives int f psi).  The mass of a uniform grid is a
-Kronecker product of 1-D factors, M = diag(w) (x) Mx (x) My: for Q1 the
-1-D P1 masses of unit cells with w = hx hy, for the lattice identity
-factors with w = 1.  It is written from its 1-D factors straight onto the
-nine-point rows, with no pass over the cells.  K and M are filled on one
-sparsity pattern, built (and, on periodic grids, sorted) once per level, so
-they share their index arrays.  Every zero-order shift s = 1/T is then the
-system (K + s M) x = b, a sum of data arrays, so a dyadic ladder in T
-re-assembles nothing.
+at the quadrature points of one period of the field, sums the cell
+stiffness matrices (one (cells, 16) @ (16, 16) product) and the loads
+-int grad(psi) . A e_i over that period as a torus, and gathers the
+nine-point stiffness K and the loads onto the free dofs by index modulo
+the period (`source_load` gives int f psi).  The period is the first
+cx x cy cells from the grid's origin when the field's period spans a whole
+number of cells, fewer than the grid has; otherwise it is the whole grid,
+and the gather reproduces the direct sum bitwise.  The operator also holds
+the mass M.  The mass of a uniform grid is a Kronecker product of 1-D
+factors, M = diag(w) (x) Mx (x) My: for Q1 the 1-D P1 masses of unit cells
+with w = hx hy, for the lattice identity factors with w = 1.  It is written
+from its 1-D factors straight onto the nine-point rows, with no pass over
+the cells.  K and M are filled on one sparsity pattern, built (and, on
+periodic grids, sorted) once per level, so they share their index arrays.
+Every zero-order shift s = 1/T is then the system (K + s M) x = b, a sum of
+data arrays, so a dyadic ladder in T re-assembles nothing.
 
 The assembly carries a leading batch axis: an operator is built for a
 batch of grids that share their cell counts (nx, ny) and bc, each with its
@@ -480,6 +484,49 @@ def _q1_loads(grids, bc: str, A_q: np.ndarray) -> np.ndarray:
     return np.stack([_cell_sum(grids, bc, cell_loads[:, :, x]) for x in range(2)])
 
 
+def _cells_per_period(grids, field: CoefficientField, bc: str) -> tuple:
+    """(cx, cy): the cells one period of `field` spans on each axis of every grid of the batch.
+
+    An axis gets c = period / h when that is the same whole number on every
+    grid, to 1e-12 relative, and smaller than the grid's cell count n (on a
+    periodic grid c must also divide n).  Any other axis, and every axis of
+    a field without a period, gets n itself.
+    """
+    counts = (grids[0].nx, grids[0].ny)
+    if field.period is None:
+        return counts
+    out = []
+    for n, p, h in zip(counts, field.period, zip(*((g.hx, g.hy) for g in grids))):
+        c = float(p) / np.array(h)
+        whole = np.rint(c[0])
+        tiles = 1 <= whole < n and np.all(np.abs(c - whole) <= 1e-12 * whole) and (bc != "periodic" or n % whole == 0)
+        out.append(int(whole) if tiles else n)
+    return tuple(out)
+
+
+def _period_grids(grids, cells) -> tuple:
+    """The first cx x cy cells of each grid: one period starting at its origin."""
+    return tuple(dataclasses.replace(g, nx=cells[0], ny=cells[1]) for g in grids)
+
+
+def _period_index(nx: int, ny: int, bc: str, cells) -> np.ndarray:
+    """Node (i mod cx, j mod cy) of the cx x cy period torus for each free dof (i, j) of the grid.
+
+    Under bc "periodic" these are also the grid's cells, so the same index
+    gathers per-cell values.
+    """
+    cx, cy = cells
+    lo = 0 if bc == "periodic" else 1
+    mx, my = _free_extents(nx, ny, bc)
+    return ((np.arange(lo, lo + mx) % cx)[:, None] * cy + np.arange(lo, lo + my) % cy).ravel()
+
+
+def _tiled_loads(grids, bc: str, cells, A_p: np.ndarray) -> np.ndarray:
+    """`_q1_loads` of the grids, summed on one period of each from A there, A_p (B * cx * cy, 4, 2, 2)."""
+    loads = _q1_loads(_period_grids(grids, cells), "periodic", A_p).reshape(2, len(grids), -1)
+    return loads[:, :, _period_index(grids[0].nx, grids[0].ny, bc, cells)].reshape(2, -1)
+
+
 # ----------------------------------------------------------------------------
 # multigrid
 
@@ -723,6 +770,7 @@ class CorrectorOperator:
         self.loads = loads
         self.symmetric = bool(symmetric)
         self.A_q = A_q
+        self._cells = (self.grids[0].nx, self.grids[0].ny)  # the cells over which A_q repeats
         B = len(self.grids)
         self.shapes, self._prolongations_1d = _hierarchy(self.grids[0].nx, self.grids[0].ny, bc)
         P = [sp.kron(px, py, format="csr") for px, py in self._prolongations_1d]
@@ -732,16 +780,35 @@ class CorrectorOperator:
 
     @classmethod
     def from_field(cls, grids, field: CoefficientField, bc: str = "dirichlet0"):
-        """Evaluate `field` once at the Gauss points of a grid or a batch, and assemble."""
+        """Evaluate `field` on one period of Gauss points per grid, and assemble.
+
+        When the field's period spans a whole number of cells (cx, cy) of
+        every grid of the batch (`_cells_per_period`), A is evaluated only
+        on the first cx x cy cells of each grid.  Their cell stiffnesses and
+        loads are summed as a torus, and every free dof (i, j) takes the
+        nine-point row and load of torus node (i mod cx, j mod cy), every
+        cell the A of its period cell.  Otherwise the period is the grid
+        itself, and this gather reproduces the direct sum bitwise.  Raises
+        ValueError when A is NaN or inf at any point evaluated.
+        """
         grids = _batch(grids)
-        points = grids[0].quad_points() if len(grids) == 1 else np.concatenate([g.quad_points() for g in grids])
-        A_q = field(points).reshape(-1, 4, 2, 2)
+        B, nx, ny = len(grids), grids[0].nx, grids[0].ny
+        cells = _cells_per_period(grids, field, bc)
+        period = _period_grids(grids, cells)
+        points = period[0].quad_points() if B == 1 else np.concatenate([g.quad_points() for g in period])
+        A_p = field(points).reshape(-1, 4, 2, 2)
+        finite = np.isfinite(A_p).all(axis=(-1, -2)).ravel()
+        if not finite.all():
+            raise ValueError(f"field {field.name!r} is NaN or inf at the Gauss point {tuple(points[np.argmin(finite)])}")
         factors = _q1_mass_factors(grids, bc)
+        rows = _stencil_data(period, "periodic", _q1_stiffness_local(period, A_p)).reshape(B, -1, 9)
         K, M = _stencil_matrices(
-            grids[0].nx, grids[0].ny, bc, len(grids),
-            [_stencil_data(grids, bc, _q1_stiffness_local(grids, A_q)), _mass_rows(factors, bc)],
+            nx, ny, bc, B, [rows[:, _period_index(nx, ny, bc, cells)], _mass_rows(factors, bc)]
         )
-        return cls(grids, bc, K, M, factors, _q1_loads(grids, bc, A_q), field.is_symmetric, A_q=A_q)
+        A_q = A_p.reshape(B, -1, 4, 2, 2)[:, _period_index(nx, ny, "periodic", cells)].reshape(-1, 4, 2, 2)
+        op = cls(grids, bc, K, M, factors, _tiled_loads(grids, bc, cells, A_p), field.is_symmetric, A_q=A_q)
+        op._cells = cells
+        return op
 
     def _coarse_levels(self) -> list:
         """(K_l, M_l) below the finest: Galerkin K, and M from the 1-D Galerkin factors."""
@@ -767,7 +834,9 @@ class CorrectorOperator:
         t = copy.copy(self)
         t.A_q = np.swapaxes(self.A_q, -1, -2)
         t.K = _on_pattern(self.K.T, self.M)
-        t.loads = _q1_loads(self.grids, self.bc, t.A_q)
+        (cx, cy), B = self._cells, len(self.grids)
+        A_p = t.A_q.reshape(B, self.grids[0].nx, self.grids[0].ny, 4, 2, 2)[:, :cx, :cy]
+        t.loads = _tiled_loads(self.grids, self.bc, self._cells, A_p.reshape(-1, 4, 2, 2))
         if self._coarse is not None:
             t._coarse = [(_on_pattern(Kc.T, Mc), Mc) for Kc, Mc in self._coarse]
         return t
@@ -835,7 +904,7 @@ def solve(
     preconditioned by the system's multigrid V-cycle (one level when it has
     none).  A single level is a direct band solve, so the Krylov method
     stops after one iteration.  A zero right-hand side short-circuits to
-    the zero vector.
+    the zero vector; one whose norm is NaN or inf raises ValueError.
 
     A pinned system (periodic, no shift) leaves free dof 0 out of its
     matrix and right-hand side; the result puts it back as zero, so it
@@ -861,6 +930,10 @@ def solve(
         raise ValueError("rel_tol must lie in (0, 1e-4]")
     b, blocks, pin = system.rhs, system.blocks, int(system.pinned)
     bnorms = np.linalg.norm(b.reshape(blocks, -1), axis=1)
+    finite = np.isfinite(bnorms)
+    if not finite.all():
+        where = f" on block {np.argmin(finite)} of {blocks}" if blocks > 1 else ""
+        raise ValueError(f"the norm of the right-hand side is NaN or inf{where}")
     if not bnorms.any():
         return DofVector(np.zeros(pin + b.size), system.grid, system.bc)
     if x0 is not None:

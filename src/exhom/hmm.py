@@ -123,6 +123,7 @@ class CoarseMesh:
     H: float
     extent: tuple
     boundary_vertices: np.ndarray  # bool mask (Nv,)
+    cells: tuple  # (nx, ny) rectangles, each cut into two triangles
 
     @classmethod
     def rectangle(cls, ax: float, ay: float, H: float) -> "CoarseMesh":
@@ -148,7 +149,9 @@ class CoarseMesh:
             | np.isclose(verts[:, 1], 0.0)
             | np.isclose(verts[:, 1], ay)
         )
-        return cls(vertices=verts, triangles=tris, H=max(hx, hy), extent=(ax, ay), boundary_vertices=bmask)
+        return cls(
+            vertices=verts, triangles=tris, H=max(hx, hy), extent=(ax, ay), boundary_vertices=bmask, cells=(nx, ny)
+        )
 
     @classmethod
     def unit_square(cls, H: float) -> "CoarseMesh":
@@ -188,9 +191,7 @@ class CoarseMesh:
 
     def locate(self, points: np.ndarray) -> np.ndarray:
         """Element index containing each point (structured crisscross mesh)."""
-        ax, ay = self.extent
-        # the cell counts `rectangle` chose; H is the larger spacing of the two
-        nx, ny = (np.unique(self.vertices[:, a]).size - 1 for a in range(2))
+        (ax, ay), (nx, ny) = self.extent, self.cells
         hx, hy = ax / nx, ay / ny
         pts = np.atleast_2d(points)
         i = np.clip((pts[:, 0] / hx).astype(int), 0, nx - 1)
@@ -222,7 +223,11 @@ class NumericalCorrectorSet:
 
 
 class P1Function:
-    """A coarse P1 field with point evaluation and per-element gradients."""
+    """A coarse P1 field with point evaluation and per-element gradients.
+
+    On element e the field is c_e + g_e . x, with g_e its gradient and c_e
+    set at the element's first vertex, so a point costs one lookup.
+    """
 
     def __init__(self, mesh: CoarseMesh, values: np.ndarray):
         self.mesh = mesh
@@ -230,24 +235,23 @@ class P1Function:
         self._grads = np.einsum(
             "ti,tid->td", self.values[mesh.triangles], mesh.basis_gradients()
         )
+        first = mesh.triangles[:, 0]
+        self._offsets = self.values[first] - np.einsum("td,td->t", self._grads, mesh.vertices[first])
 
     def element_gradients(self) -> np.ndarray:
         return self._grads
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
+        return self._at(np.atleast_2d(points))[0]
+
+    def _at(self, pts: np.ndarray) -> tuple:
+        """Values and gradients at the (n, 2) points, each point located once."""
         elems = self.mesh.locate(pts)
-        tri = self.mesh.triangles[elems]
-        p = self.mesh.vertices[tri]
-        v = self.values[tri]
-        # barycentric coordinates
-        d = p[:, 1:, :] - p[:, :1, :]
-        rhs = pts - p[:, 0, :]
-        det = d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]
-        l1 = (rhs[:, 0] * d[:, 1, 1] - rhs[:, 1] * d[:, 1, 0]) / det
-        l2 = (rhs[:, 1] * d[:, 0, 0] - rhs[:, 0] * d[:, 0, 1]) / det
-        l0 = 1.0 - l1 - l2
-        return l0 * v[:, 0] + l1 * v[:, 1] + l2 * v[:, 2]
+        g = np.take(self._grads, elems, axis=0)
+        values = np.take(self._offsets, elems)
+        values += g[:, 0] * pts[:, 0]
+        values += g[:, 1] * pts[:, 1]
+        return values, g
 
     def gradient_at(self, points: np.ndarray) -> np.ndarray:
         elems = self.mesh.locate(np.atleast_2d(points))
@@ -542,8 +546,7 @@ def h1_distance(u_fine: DofVector, u_coarse: P1Function) -> tuple:
     w = g.quad_weight()
     ufine_vals = values_at_quad(u_fine)
     gfine = gradient_field(u_fine)
-    ucoarse_vals = u_coarse(pts)
-    gcoarse = u_coarse.gradient_at(pts)
+    ucoarse_vals, gcoarse = u_coarse._at(pts)
     dl2 = w * np.sum((ufine_vals - ucoarse_vals) ** 2)
     dh1s = w * np.sum((gfine - gcoarse) ** 2)
     return math.sqrt(dl2), math.sqrt(dh1s), math.sqrt(dl2 + dh1s)

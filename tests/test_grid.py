@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -92,6 +93,32 @@ def test_zero_rhs_returns_zero():
     op = CorrectorOperator.from_field(StructuredGrid.square(1.0, 8), catalog("constant:1"))
     u = solve(op.system(1.0, op.rhs((0.0, 0.0))))
     assert np.all(u.values == 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_coefficient_raises_naming_the_field(bad):
+    mat2 = catalog("mat2")
+
+    def evaluate(points):
+        out = mat2.evaluate(points)
+        out[np.argmin(np.linalg.norm(points, axis=1)), 0, 0] = bad  # the Gauss point nearest the origin
+        return out
+
+    field = dataclasses.replace(mat2, evaluate=evaluate, period=None, name="mat2-broken")
+    with pytest.raises(ValueError, match="mat2-broken"):
+        CorrectorOperator.from_field(StructuredGrid.square(2.0, 32), field)
+
+
+def test_non_finite_load_block_raises_and_a_zero_block_solves_to_zero():
+    grids = [StructuredGrid.from_box((x, x + 1.0, 0.0, 1.0), 8, 8) for x in (0.0, 0.3, 0.7)]
+    op = CorrectorOperator.from_field(grids, catalog("mat2"))
+    loads = op.rhs((1.0, 0.0)).reshape(3, -1).copy()
+    loads[1] = 0.0
+    u = solve(op.system(1.0, loads.ravel())).values.reshape(3, -1)
+    assert np.all(u[1] == 0.0) and np.all(u[0] != 0.0)
+    loads[2, 5] = np.nan
+    with pytest.raises(ValueError, match="block 2 of 3"):
+        solve(op.system(1.0, loads.ravel()))
 
 
 def test_solver_cross_check_symmetric_vs_bicgstab():

@@ -211,6 +211,34 @@ def test_p1_function_evaluation():
     assert np.allclose(u.gradient_at(pts), np.array([[1.0, 2.0]] * 3), atol=1e-12)
 
 
+def _barycentric_values(u, points):
+    """P1 values by barycentric coordinates in the located element."""
+    tri = u.mesh.triangles[u.mesh.locate(points)]
+    p, v = u.mesh.vertices[tri], u.values[tri]
+    d = p[:, 1:] - p[:, :1]
+    lam = np.linalg.solve(np.swapaxes(d, 1, 2), (points - p[:, 0])[..., None])[..., 0]
+    return (1.0 - lam.sum(axis=1)) * v[:, 0] + lam[:, 0] * v[:, 1] + lam[:, 1] * v[:, 2]
+
+
+@pytest.mark.parametrize("extent, H", [((1.0, 1.0), 1 / 8), ((0.3, 1.7), 0.1)])
+def test_p1_values_match_barycentric_evaluation(extent, H):
+    from exhom.hmm import P1Function
+
+    mesh = CoarseMesh.rectangle(*extent, H)
+    u = P1Function(mesh, np.random.default_rng(5).normal(size=len(mesh.vertices)))
+    rng = np.random.default_rng(6)
+    t = rng.random((400, 1))
+    tri = mesh.vertices[mesh.triangles[rng.integers(mesh.n_elements, size=400)]]
+    points = np.concatenate([
+        rng.random((2000, 2)) * extent,
+        mesh.vertices,
+        t * tri[:, 0] + (1 - t) * tri[:, 1],  # on element edges, the diagonals among them
+        t * tri[:, 1] + (1 - t) * tri[:, 2],
+        t * tri[:, 2] + (1 - t) * tri[:, 0],
+    ])
+    assert np.abs(u(points) - _barycentric_values(u, points)).max() <= 1e-14 * np.abs(u.values).max()
+
+
 @pytest.mark.parametrize("extent, H", [((1.0, 0.45), 0.1), ((0.3, 1.7), 0.1), ((1.0, 1.0), 0.25)])
 def test_locate_on_rectangles(extent, H):
     from exhom.hmm import P1Function

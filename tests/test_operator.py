@@ -6,6 +6,7 @@ five-point lattice assembly, both solved with Jacobi-preconditioned scipy
 Krylov methods.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,10 @@ from exhom.grid import (
     SparseSystem,
     StructuredGrid,
     _prolongation_1d,
+    _q1_loads,
+    _q1_stiffness_local,
+    _stencil_data,
+    _stencil_matrices,
     _stencil_pattern,
     solve,
 )
@@ -157,6 +162,86 @@ def test_batch_blocks_match_cellwise_assembly(bc, shifts):
     if bc == "periodic":
         with pytest.raises(ValueError, match="positive shift"):
             batch.system(0.0, batch.rhs(xi))
+
+
+# origins of a batch that cut the unit period at different phases
+ORIGINS = ((0.3, -0.4), (1.05, 0.2), (-2.7, 3.33))
+
+
+def _tiled_batch(nx, ny, hx, hy):
+    return [StructuredGrid(x0, y0, nx, ny, hx, hy) for x0, y0 in ORIGINS]
+
+
+@pytest.mark.parametrize(
+    "name, bc, grid, cells",
+    [
+        ("mat2", "dirichlet0", (24, 16, 0.125, 0.125), (8, 8)),
+        ("mat4", "dirichlet0", (20, 13, 0.1, 0.25), (10, 4)),  # c does not divide a Dirichlet grid
+        ("mat4", "dirichlet0", (24, 16, 0.125, 0.15), (8, 16)),  # tiled along x only
+        ("mat2", "periodic", (24, 16, 0.125, 0.125), (8, 8)),
+        ("mat4", "periodic", (16, 12, 0.125, 0.25), (8, 4)),
+    ],
+)
+def test_tiled_operator_matches_cellwise_assembly(name, bc, grid, cells):
+    field = catalog(name)
+    grids = _tiled_batch(*grid)
+    op = CorrectorOperator.from_field(grids, field, bc)
+    assert op._cells == cells
+    inv_T, n = 0.7, op.K.shape[0] // len(grids)
+    A_q = op.A_q.reshape(len(grids), -1, 4, 2, 2)
+    dual = op.transpose()
+    for b, g in enumerate(grids):
+        block = slice(b * n, (b + 1) * n)
+        assert np.abs(A_q[b] - field(g.quad_points()).reshape(-1, 4, 2, 2)).max() <= 1e-12 * np.abs(A_q).max()
+        for o, f in ((op, field), (dual, field.transpose())):
+            K_ref, _ = _reference_system(g, f, inv_T, np.zeros(2), bc)
+            assert abs(o.matrix(inv_T)[block, block] - K_ref).max() <= 1e-12 * abs(K_ref).max()
+            for x, xi in enumerate(np.eye(2)):
+                _, b_ref = _reference_system(g, f, inv_T, xi, bc)
+                assert np.abs(o.loads[x, block] - b_ref).max() <= 1e-12 * np.abs(b_ref).max()
+
+
+def _direct_path(grids, field, bc):
+    """K, loads and A_q summed over every cell of every grid, as without a period."""
+    A_q = field(np.concatenate([g.quad_points() for g in grids])).reshape(-1, 4, 2, 2)
+    rows = _stencil_data(grids, bc, _q1_stiffness_local(grids, A_q))
+    (K,) = _stencil_matrices(grids[0].nx, grids[0].ny, bc, len(grids), [rows])
+    return K, _q1_loads(grids, bc, A_q), A_q
+
+
+@pytest.mark.parametrize(
+    "name, bc, grid",
+    [
+        ("mat4", "dirichlet0", (20, 14, 0.15, 0.15)),  # the period is not a whole number of cells
+        ("mat2", "periodic", (12, 20, 0.125, 0.125)),  # c = 8 divides neither periodic count
+        ("mat4", "dirichlet0", (8, 6, 0.125, 0.125)),  # c = 8 is at least the grid
+        ("mat3", "dirichlet0", (24, 16, 0.125, 0.125)),  # no period
+        ("mat5", "periodic", (16, 16, 0.125, 0.125)),
+    ],
+)
+def test_untiled_operator_is_bitwise_the_direct_sum(name, bc, grid):
+    field = catalog(name)
+    grids = _tiled_batch(*grid)
+    op = CorrectorOperator.from_field(grids, field, bc)
+    assert op._cells == grid[:2]
+    K, loads, A_q = _direct_path(grids, field, bc)
+    assert np.array_equal(op.K.data, K.data) and np.array_equal(op.K.indices, K.indices)
+    assert np.array_equal(op.loads, loads) and np.array_equal(op.A_q, A_q)
+    if not field.is_symmetric:
+        assert np.array_equal(op.transpose().loads, _q1_loads(grids, bc, np.swapaxes(A_q, -1, -2)))
+
+
+def test_field_is_evaluated_on_one_period_per_grid():
+    calls = []
+    mat2 = catalog("mat2")
+
+    def counting(points):
+        calls.append(len(points))
+        return mat2.evaluate(points)
+
+    grids = _tiled_batch(24, 16, 0.125, 0.25)
+    op = CorrectorOperator.from_field(grids, dataclasses.replace(mat2, evaluate=counting))
+    assert op._cells == (8, 4) and calls == [4 * len(grids) * 8 * 4]
 
 
 def test_batch_rejects_grids_of_different_shape():
