@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import mpmath
 import numpy as np
 
 from .coeffs import CoefficientField
@@ -267,38 +266,33 @@ def residual_identity_check(
     return float(np.linalg.norm(res)) / bnorm
 
 
-def psi_value(T, k: int, lam, dps: int = 60):
-    """psi_{T,k}(lambda): the Richardson weights applied to 1/((2^j T)^{-1} + lambda), in mpmath."""
-    with mpmath.workdps(dps):
-        T = mpmath.mpf(T)
-        lam = mpmath.mpf(lam)
-        return mpmath.fsum(
-            mpmath.mpf(w.numerator) / w.denominator / (1 / (T * 2**j) + lam)
-            for j, w in enumerate(richardson_weights(k))
-        )
+def psi_value(T, k: int, lam) -> Fraction:
+    """psi_{T,k}(lambda): the Richardson weights applied to 1/((2^j T)^{-1} + lambda), exactly.
+
+    T and lambda are taken as the exact rationals of their float values.
+    """
+    T, lam = Fraction(T), Fraction(lam)
+    return sum(w / (1 / (T * 2**j) + lam) for j, w in enumerate(richardson_weights(k)))
 
 
-def psi_identity_check(T: float, k: int, lambdas, dps: int = 60) -> float:
+def psi_identity_check(T: float, k: int, lambdas) -> float:
     """Max relative deviation between 1/lam - psi_{T,k}(lam) and its closed form.
 
     The closed form is 2^{-k(k-1)/2} T^{-k} / (lam prod_{i<k} ((2^i T)^{-1} + lam)).
-    The recursion loses ~(lam T)^k digits to cancellation, so both sides are
-    evaluated in mpmath working precision (`dps` digits); the returned
-    deviation is exact-rational-identity small whenever the induction is
-    implemented correctly.
+    The recursion loses ~(lam T)^k digits to cancellation in floating point,
+    so both sides are evaluated on exact rationals: the deviation is zero
+    whenever the induction is implemented correctly.
     """
     worst = 0.0
-    with mpmath.workdps(dps):
-        Tm = mpmath.mpf(T)
-        for lam in np.atleast_1d(lambdas):
-            lamm = mpmath.mpf(float(lam))
-            lhs = 1 / lamm - psi_value(Tm, k, lamm, dps=dps)
-            prod = mpmath.mpf(1)
-            for i in range(k):
-                prod *= 1 / (Tm * 2**i) + lamm
-            rhs = mpmath.mpf(2) ** mpmath.mpf(-0.5 * k * (k - 1)) * Tm ** (-k) / (lamm * prod)
-            dev = abs(lhs - rhs) / abs(rhs)
-            worst = max(worst, float(dev))
+    Tq = Fraction(T)
+    for lam in np.atleast_1d(lambdas):
+        lamq = Fraction(float(lam))
+        lhs = 1 / lamq - psi_value(Tq, k, lamq)
+        prod = Fraction(1)
+        for i in range(k):
+            prod *= 1 / (Tq * 2**i) + lamq
+        rhs = 1 / (Fraction(2) ** (k * (k - 1) // 2) * Tq**k * lamq * prod)
+        worst = max(worst, float(abs(lhs - rhs) / abs(rhs)))
     return worst
 
 

@@ -340,55 +340,94 @@ def _cell_sum(grids, bc: str, cell_values: np.ndarray) -> np.ndarray:
     return _free_part(nodal, bc)
 
 
-def _stencil_pattern(nx: int, ny: int, bc: str, B: int) -> tuple:
-    """CSR pattern of a block-diagonal nine-point matrix: (indices, indptr, slots, starts).
+def _cuts(m: int) -> list:
+    """(start, stop) of the runs first node, inner nodes, last node of m nodes in a row (fewer when m < 3)."""
+    cuts = sorted({0, min(1, m), max(m - 1, 0), m})
+    return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
 
-    A block's row r holds its free dof's nine neighbour offsets (dx, dy) in
-    -1..1, the (B * n, 9) layout of `_stencil_data`.  `slots` picks the
-    stored ones, in CSR order, from that layout flattened; entries coupling
-    to Dirichlet nodes are dropped.  Periodic rows wrap around, so their
-    columns are sorted here, once; on an axis of two cells two neighbours
-    wrap onto one node, and `starts` (None when no row has such a pair)
-    marks where each stored entry's run of picked slots begins.
+
+def _runs_csr(xruns, yruns, my: int, row, shift, dtypes) -> tuple:
+    """CSR arrays (indptr, arrays) of a matrix whose rows (i, j), x-major on an mx x my grid, come in runs.
+
+    The rows of an x run (`_cuts`) and a y run hold equally many entries:
+    `row(x0, y0, y1)` gives, per array, those of rows (x0, j), j in y0..y1-1,
+    as one (y1 - y0, c) array, and row (i, j) of an x run is row (x0, j)
+    plus shift(x0, x1)[a][i - x0] on array a.  So each x run fills its block
+    of the arrays in one sum, with no pass over the rows and no sort.
     """
-    d = np.arange(-1, 2, dtype=np.int32)
-    n = _n_free(nx, ny, bc)
-    if bc == "periodic":
-        i = np.arange(nx, dtype=np.int32)[:, None, None, None] + d[:, None]
-        j = np.arange(ny, dtype=np.int32)[None, :, None, None] + d
-        cols = ((i % nx) * ny + j % ny).reshape(n, 9)
-        order = np.argsort(cols, axis=1, kind="stable")
-        cols = np.take_along_axis(cols, order, axis=1)
-        slots = (9 * np.arange(n)[:, None] + order).ravel()
-        keep = np.ones((n, 9), dtype=bool)
-        keep[:, 1:] = cols[:, 1:] != cols[:, :-1]
-        starts = None if keep.all() else np.flatnonzero(keep)
-        indices, counts = cols[keep], keep.sum(axis=1)
-    else:  # interior node (i, j) of the (nx-1) x (ny-1) free nodes, in row order
-        m, k = nx - 1, ny - 1
-        # the nine-point template less the neighbours beyond each edge
-        keep = np.ones((m, k, 3, 3), dtype=bool)
-        keep[0, :, 0] = keep[-1, :, 2] = keep[:, 0, :, 0] = keep[:, -1, :, 2] = False
-        slots, starts = np.flatnonzero(keep), None
-        template = (np.arange(n, dtype=np.int32)[:, None] + (k * d[:, None] + d).ravel()).ravel()
-        indices = template[keep.ravel()]
-        counts = np.multiply.outer(_neighbours(m), _neighbours(k)).ravel()
-    if B > 1:  # block b's columns are offset by b * n, its slots by b * 9n
-        b = np.arange(B)[:, None]
-        indices = (indices + n * b).ravel()
-        counts = np.tile(counts, B)
-        if starts is not None:
-            starts = (starts + slots.size * b).ravel()
-        slots = (slots + 9 * n * b).ravel()
-    indptr = np.zeros(B * n + 1, dtype=np.int32)
-    np.cumsum(counts, out=indptr[1:])
-    return indices.astype(np.int32, copy=False), indptr, slots, starts
+    parts = [[row(x0, y0, y1) for y0, y1 in yruns] for x0, _ in xruns]
+    counts = np.empty((xruns[-1][1], my), dtype=np.int32)
+    for (x0, x1), p in zip(xruns, parts):
+        for (y0, y1), q in zip(yruns, p):
+            counts[x0:x1, y0:y1] = q[0].shape[1]
+    indptr = np.zeros(counts.size + 1, dtype=np.int32)
+    np.cumsum(counts.ravel(), out=indptr[1:])
+    out = [np.empty(indptr[-1], dtype=dt) for dt in dtypes]
+    for (x0, x1), p in zip(xruns, parts):
+        block = slice(indptr[x0 * my], indptr[x1 * my])
+        for a, s, q in zip(out, shift(x0, x1), zip(*p)):
+            np.add(s[:, None], np.concatenate([t.ravel() for t in q]), out=a[block].reshape(x1 - x0, -1))
+    return indptr, out
 
 
-def _neighbours(m: int) -> np.ndarray:
-    """Nodes within one place of each of m nodes in a row: 3 inside, 2 at either end."""
-    a = np.arange(m)
-    return 3 - (a == 0) - (a == m - 1)
+def _blocks(indptr: np.ndarray, arrays, steps, B: int) -> tuple:
+    """The CSR arrays of I_B (x) A from A's: array a of block b is offset by steps[a] * b."""
+    if B == 1:
+        return indptr, arrays
+    b = np.arange(B, dtype=np.int32)[:, None]
+    indptr = np.append((indptr[:-1] + indptr[-1] * b).ravel(), B * indptr[-1]).astype(np.int32)
+    return indptr, [(a + s * b).ravel() for a, s in zip(arrays, steps)]
+
+
+def _neighbour_offsets(k: int, n: int, periodic: bool) -> tuple:
+    """Neighbour offsets in -1..1 of free node k on an axis of n cells, sorted by the neighbour's index.
+
+    Periodic neighbours wrap around, Dirichlet ones on the boundary are
+    dropped.  On a periodic axis of two cells both neighbours are one node,
+    stored at offset -1 (`_Level.matrix` folds +1 onto it).
+    """
+    if periodic:
+        return tuple(sorted((-1, 0) if n == 2 else (-1, 0, 1), key=lambda d: (k + d) % n))
+    return tuple(d for d in (-1, 0, 1) if 0 <= k + d < n - 1)
+
+
+def _stencil_pattern(nx: int, ny: int, bc: str, B: int, periods=None, used=None) -> tuple:
+    """CSR pattern of a block-diagonal stencil matrix and the gather that fills it: (indices, indptr, gather).
+
+    A block's row r, free dof (i, j), holds the neighbour offsets (dx, dy)
+    in -1..1 that `used` (3 x 3, default all) marks and whose neighbour is a
+    free dof (`_neighbour_offsets`), sorted by column.  Its data is picked
+    from a (B, tx, ty, 3, 3) table, flattened: entry (dx, dy) of free dof
+    (i, j) of block b is [b, (i + lo) mod tx, (j + lo) mod ty, dx + 1, dy +
+    1], with lo the first free node (0 periodic, 1 Dirichlet), and `gather`
+    holds that flat position per stored entry.  Without `periods` the table
+    is the free dofs themselves, (B * n, 9) rows.  Only the first and the
+    last node of an axis differ in their neighbours, so `_runs_csr` fills
+    the arrays.
+    """
+    periodic = bc == "periodic"
+    mx, my = _free_extents(nx, ny, bc)
+    lo = 0 if periodic or periods is None else 1
+    tx, ty = (mx, my) if periods is None else periods
+    d = np.arange(-1, 2)
+    # per axis and offset: the neighbour's column part and the table position part
+    col_x = ((np.arange(mx)[:, None] + d) % mx * my).astype(np.int32)
+    col_y = ((np.arange(my)[:, None] + d) % my).astype(np.int32)
+    pos_x = ((lo + np.arange(mx)) % tx)[:, None] * (9 * ty) + 3 * (d + 1)
+    pos_y = ((lo + np.arange(my)) % ty)[:, None] * 9 + (d + 1)
+    used = np.ones((3, 3), dtype=bool) if used is None else used
+
+    def row(x0, y0, y1):
+        ax, ay = np.array([(a + 1, b + 1) for a in _neighbour_offsets(x0, nx, periodic)
+                           for b in _neighbour_offsets(y0, ny, periodic) if used[a + 1, b + 1]]).T
+        return col_x[x0, ax] + col_y[y0:y1, ay], pos_x[x0, ax] + pos_y[y0:y1, ay]
+
+    def shift(x0, x1):
+        return np.arange(x1 - x0, dtype=np.int32) * my, pos_x[x0:x1, 1] - pos_x[x0, 1]
+
+    indptr, arrays = _runs_csr(_cuts(mx), _cuts(my), my, row, shift, (np.int32, np.intp))
+    indptr, (indices, gather) = _blocks(indptr, arrays, (mx * my, 9 * tx * ty), B)
+    return indices, indptr, gather
 
 
 def _stencil_data(grids, bc: str, local: np.ndarray) -> np.ndarray:
@@ -406,66 +445,143 @@ def _stencil_data(grids, bc: str, local: np.ndarray) -> np.ndarray:
     return _free_part(stencil, bc).reshape(-1, 9)
 
 
-def _stencil_matrices(nx: int, ny: int, bc: str, B: int, rows) -> list:
-    """Block-diagonal nine-point CSR matrices, one per array of nine-point rows.
+#: The P1 mass of unit cells at a node, by neighbour offset -1, 0, 1.
+_UNIT_MASS = np.array([1.0, 4.0, 1.0]) / 6.0
+#: A coarse node's prolongation weights at the fine offsets -1, 0, 1 from its own fine node.
+_WEIGHTS = (0.5, 1.0, 0.5)
 
-    Each entry of `rows` is laid out like `_stencil_data`, (B * n, 9).  The
-    matrices share one pattern, built once: their `indices` and `indptr`
-    are the same memory, sorted and free of duplicates (so no in-place
-    canonicalization ever rewrites them), and `K + s M` is a sum of data
-    arrays (`_shifted`).
+
+def _galerkin_axis(T: np.ndarray, axis: int, n: int, periodic: bool, stride: int) -> np.ndarray:
+    """P^T K P along one grid axis of n cells, in offset form, on a table T.
+
+    T's `axis` is the node along the grid axis (free node i reads entry i
+    mod t), and its last axis holds the neighbour offsets: this axis's
+    offset is digit (k // stride) % 3 of entry k.  Coarse node I sits at
+    fine node 2I and spreads onto fine nodes 2I + a with weights w_I(a), so
+
+        Kc[I, D] = sum_{a, b} w_I(a) w_{I+D}(b) K[2I + a, 2D + b - a]
+
+    over the 13 pairs (a, b) whose fine offset 2D + b - a lies in -1..1.
+    When n is even the weights are (1/2, 1, 1/2) at every free coarse node,
+    the coarse table has period t/2 (t even) or t, and each a is one matrix
+    product over the last axis.  When n is odd the table is taken over the
+    whole axis, period (n + 1) / 2, with per-node weights: on a Dirichlet
+    axis coarse node 0 and fine node n (one past the last coarse node) are
+    boundary nodes of weight 0, so rows and couplings of boundary nodes,
+    which a table may hold, never count.  On a periodic axis the
+    wrap-around cell, from coarse node nc - 1 (fine node n - 1) to coarse
+    node 0, is one fine cell wide: neither node spreads across it, and
+    their coupling is the fine one.
     """
-    indices, indptr, slots, starts = _stencil_pattern(nx, ny, bc, B)
-    size = B * _n_free(nx, ny, bc)
-    out = []
-    for r in rows:
-        data = r.ravel()[slots]
-        if starts is not None:
-            data = np.add.reduceat(data, starts)
-        out.append(sp.csr_matrix((data, indices, indptr), shape=(size, size)))
+    t, nc, L = T.shape[axis], (n + 1) // 2, T.shape[-1]
+    tc = (t // 2 if t % 2 == 0 else t) if n % 2 == 0 else nc
+    w = np.tile(_WEIGHTS, (tc, 1))
+    if n % 2 == 1:
+        w[-1, 2] = w[0, 0] = 0.0
+        if not periodic:
+            w[0] = 0.0
+    I = np.arange(tc)
+    rows = (2 * I[:, None] + np.arange(-1, 2)) % t
+    eye, G = np.eye(L // 3), []
+    for a in (-1, 0, 1):
+        C = np.zeros((tc, 3, 3))  # [I, fine offset d + 1, coarse offset D + 1]
+        for D in (-1, 0, 1):
+            for b in (-1, 0, 1):
+                d = 2 * D + b - a
+                if -1 <= d <= 1:
+                    C[:, d + 1, D + 1] = w[:, a + 1] * w[(I + D) % tc, b + 1]
+        # G[a][I, k, l]: the weight of fine entry k of node 2I + a in coarse entry l of node I
+        Ga = eye[:, None, :, None] * C[:, None, :, None, :] if stride == 1 else C[:, :, None, :, None] * eye[:, None, :]
+        G.append(Ga.reshape(tc, L, L))
+    if n % 2 == 0 and t % 2 == 0:  # coarse node I takes even fine node I and odd fine nodes I - 1, I
+        at = lambda k: (slice(None),) * axis + (k,)
+        out = T[at(slice(0, None, 2))] @ G[1][0]
+        odd = T[at(slice(1, None, 2))] @ np.concatenate([G[2][0], G[0][0]], axis=1)
+        out += odd[..., :L]
+        out[at(slice(1, None))] += odd[at(slice(None, -1))][..., L:]
+        out[at(0)] += odd[at(-1)][..., L:]
+        return out
+    out = np.zeros(T.shape[:axis] + (tc,) + T.shape[axis + 1 :])
+    for a in (-1, 0, 1):
+        Xa = np.take(T, rows[:, a + 1], axis=axis)
+        if n % 2 == 0:  # the same weights at every node
+            out += Xa @ G[a + 1][0]
+        else:
+            out += np.moveaxis(np.einsum("...ik,ikl->...il", np.moveaxis(Xa, axis, -2), G[a + 1]), -2, axis)
+    if n % 2 == 1 and periodic:
+        o, Tm = np.moveaxis(out, axis, 0), np.moveaxis(T, axis, 0)
+        for I, d in ((-1, 1), (0, -1)):
+            k = np.flatnonzero(np.arange(L) // stride % 3 == d + 1)
+            o[I][..., k] = Tm[rows[I, 1]][..., k]
     return out
 
 
-def _mass_1d(n: int, bc: str) -> sp.csr_matrix:
-    """P1 mass matrix of n unit cells on the bc's free nodes."""
-    i = np.arange(n)
-    rows = np.concatenate([i, i, i + 1, i + 1])
-    cols = np.concatenate([i, i + 1, i, i + 1])
-    vals = np.repeat([1.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0, 1.0 / 3.0], n)
-    if bc == "periodic":  # node n is node 0
-        return sp.csr_matrix((vals, (rows % n, cols % n)), shape=(n, n))
-    free = (rows % n > 0) & (cols % n > 0)  # drop the boundary nodes 0 and n
-    return sp.csr_matrix((vals[free], (rows[free] - 1, cols[free] - 1)), shape=(n - 1, n - 1))
+def _galerkin(K: np.ndarray, shape, periodic: bool) -> np.ndarray:
+    """The coarse table of a (B, tx, ty, 3, 3) stiffness table: `_galerkin_axis` along x, then y."""
+    T = K.reshape(K.shape[:3] + (9,))
+    T = _galerkin_axis(_galerkin_axis(T, 1, shape[0], periodic, 3), 2, shape[1], periodic, 1)
+    return T.reshape(T.shape[:3] + (3, 3))
 
 
-def _q1_mass_factors(grids, bc: str) -> tuple:
-    """(w, Mx, My) of the Q1 mass diag(w) (x) Mx (x) My: P1 masses of unit cells, w = hx hy."""
-    nx, ny = grids[0].nx, grids[0].ny
-    Mx = _mass_1d(nx, bc)
-    return np.array([g.hx * g.hy for g in grids]), Mx, Mx if ny == nx else _mass_1d(ny, bc)
+def _reflect(K: np.ndarray) -> np.ndarray:
+    """The table of K^T: entry (dx, dy) of node (r, s) is K's entry (-dx, -dy) of node (r + dx, s + dy)."""
+    out = np.empty_like(K)
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            out[..., dx + 1, dy + 1] = np.roll(K[..., 1 - dx, 1 - dy], (-dx, -dy), axis=(1, 2))
+    return out
 
 
-def _offset_table(F: sp.spmatrix, bc: str) -> np.ndarray:
-    """(n, 3) table of a tridiagonal (on periodic grids cyclic) 1-D matrix by offset.
+class _Level:
+    """One grid of the hierarchy: K and M as stencil tables, and the pattern every matrix of it shares.
 
-    Entry [i, d + 1] is F[i, i + d].  On a periodic axis of two nodes both
-    neighbours are one node; its entry sits at offset -1, and the nine-point
-    pattern sums the two offsets (`_stencil_pattern`).
+    `K` is a (B, tx, ty, 3, 3) table: per block, for each node (r, s) of a
+    tx x ty torus, its couplings to the neighbour offsets (dx, dy); free dof
+    (i, j) reads node (i mod tx, j mod ty) (`_period_index`).  On the finest
+    level the torus is one period of the field, or the whole grid; the
+    coarse levels are their Galerkin products (`coarse`).  `mass` = (w, mx,
+    my) holds M = w (x) mx (x) my, one weight per block and 1-D tables per
+    axis, and `M` is its table.  The pattern stores the offsets that are
+    nonzero somewhere in K or M, or in their reflections, so that K, M, any
+    K + s M and K^T (`transposed`) are each one gather of a table onto it
+    (`matrix`), and share its index arrays.
     """
-    F = F.tocoo()
-    d = F.col - F.row
-    if bc == "periodic":
-        d = (d + 1) % F.shape[0] - 1
-    table = np.zeros((F.shape[0], 3))
-    table[F.row, d + 1] = F.data
-    return table
 
+    def __init__(self, shape, bc: str, K: np.ndarray, mass):
+        self.shape, self.bc, self.K, self.mass = shape, bc, K, mass
+        w, mx, my = mass
+        self.M = w[:, None, None, None, None] * (mx[:, None, :, None] * my[None, :, None, :])
+        used = np.count_nonzero(K.reshape(-1, 9), axis=0).reshape(3, 3) > 0
+        used |= np.outer(mx.any(axis=0), my.any(axis=0))
+        B, tx, ty = K.shape[:3]
+        self.indices, self.indptr, self.gather = _stencil_pattern(*shape, bc, B, (tx, ty), used | used[::-1, ::-1])
+        self.rows = ((tx * ty) * np.arange(B)[:, None] + _period_index(*shape, bc, (tx, ty))).ravel()
+        self.fold = [bc == "periodic" and n == 2 for n in shape]
 
-def _mass_rows(factors, bc: str) -> np.ndarray:
-    """Nine-point rows (B * n, 9) of diag(w) (x) Mx (x) My, laid out like `_stencil_data`."""
-    w, Mx, My = factors
-    tx, ty = _offset_table(Mx, bc), _offset_table(My, bc)
-    return (w[:, None] * (tx[:, None, :, None] * ty[:, None, :]).reshape(1, -1)).reshape(-1, 9)
+    def coarse(self) -> "_Level":
+        periodic = self.bc == "periodic"
+        w, mx, my = self.mass
+        mass = (w, *(_galerkin_axis(m, 0, n, periodic, 1) for m, n in zip((mx, my), self.shape)))
+        return _Level(tuple((n + 1) // 2 for n in self.shape), self.bc, _galerkin(self.K, self.shape, periodic), mass)
+
+    def transposed(self) -> "_Level":
+        t = copy.copy(self)
+        t.K = _reflect(self.K)
+        return t
+
+    def matrix(self, table: np.ndarray) -> sp.csr_matrix:
+        """The level's CSR matrix of a table laid out like K."""
+        if any(self.fold):  # an axis of two periodic cells: offset +1 reaches the node that -1 does
+            table = table.copy()
+            if self.fold[0]:
+                table[..., 0, :] += table[..., 2, :]
+            if self.fold[1]:
+                table[..., 0] += table[..., 2]
+        size = self.rows.size
+        return sp.csr_matrix((table.ravel()[self.gather], self.indices, self.indptr), shape=(size, size))
+
+    def diagonal(self, table: np.ndarray) -> np.ndarray:
+        return table[..., 1, 1].ravel()[self.rows]
 
 
 def _q1_stiffness_local(grids, A_q: np.ndarray) -> np.ndarray:
@@ -560,50 +676,28 @@ def _hierarchy(nx: int, ny: int, bc: str) -> tuple:
     return shapes, prolongations
 
 
-def _block_diag(A: sp.csr_matrix, B: int) -> sp.csr_matrix:
-    """I_B (x) A, by tiling A's CSR arrays."""
-    if B == 1:
-        return A
-    b = np.arange(B)[:, None]
-    indptr = np.append((A.indptr[:-1] + A.nnz * b).ravel(), B * A.nnz)
-    indices = (A.indices + A.shape[1] * b).ravel()
-    return sp.csr_matrix((np.tile(A.data, B), indices, indptr), shape=(B * A.shape[0], B * A.shape[1]))
+def _restriction(px: sp.csr_matrix, py: sp.csr_matrix, B: int) -> sp.csr_matrix:
+    """I_B (x) Px^T (x) Py^T in CSR, from the 1-D prolongations.
 
-
-def _on_pattern(A: sp.spmatrix, pattern: sp.csr_matrix) -> sp.csr_matrix:
-    """A stored on `pattern`'s index arrays; every nonzero of A must be an entry of `pattern`.
-
-    `pattern` is sorted and free of duplicates.  A matrix may hold fewer
-    entries than the pattern (a Galerkin product drops the entries that
-    cancel exactly; the lattice's identity mass sits on its five-point
-    stiffness pattern); those are scattered into it, the rest are zeros.
+    A coarse node inside an axis spreads onto the fine nodes two places on
+    from the previous one's, so `_runs_csr` builds it with no product.
     """
-    A = A.tocsr()
-    A.sum_duplicates()
-    if np.array_equal(A.indptr, pattern.indptr) and np.array_equal(A.indices, pattern.indices):
-        data = A.data
-    else:
-        A.eliminate_zeros()
-        have, want = _entry_keys(pattern), _entry_keys(A)
-        at = np.minimum(np.searchsorted(have, want), have.size - 1)
-        if not np.array_equal(have[at], want):
-            raise ValueError("the pattern does not hold every nonzero of the matrix")
-        data = np.zeros(pattern.nnz)
-        data[at] = A.data
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=pattern.shape)
+    rx, ry = (p.T.tocsr() for p in (px, py))
+    nyf = py.shape[0]
 
+    def row(x0, y0, y1):
+        s = slice(rx.indptr[x0], rx.indptr[x0 + 1])
+        cy, vy = (a[ry.indptr[y0] : ry.indptr[y1]].reshape(y1 - y0, 1, -1) for a in (ry.indices, ry.data))
+        cols = (rx.indices[s, None] * nyf + cy).astype(np.int32)
+        return cols.reshape(y1 - y0, -1), (rx.data[s, None] * vy).reshape(y1 - y0, -1)
 
-def _entry_keys(A: sp.csr_matrix) -> np.ndarray:
-    """row * ncols + column of every stored entry, in storage order."""
-    rows = np.repeat(np.arange(A.shape[0], dtype=np.int64), np.diff(A.indptr))
-    return rows * A.shape[1] + A.indices
+    def shift(x0, x1):
+        return np.arange(x1 - x0, dtype=np.int32) * (2 * nyf), np.zeros(x1 - x0)
 
-
-def _shifted(K: sp.csr_matrix, M: sp.csr_matrix, s: float) -> sp.csr_matrix:
-    """K + s M on K's index arrays, which M shares (`CorrectorOperator`)."""
-    if s == 0.0:
-        return K
-    return sp.csr_matrix((K.data + s * M.data, K.indices, K.indptr), shape=K.shape)
+    indptr, arrays = _runs_csr(_cuts(rx.shape[0]), _cuts(ry.shape[0]), ry.shape[0], row, shift, (np.int32, float))
+    indptr, (indices, data) = _blocks(indptr, arrays, (px.shape[0] * nyf, 0), B)
+    shape = (B * rx.shape[0] * ry.shape[0], B * px.shape[0] * nyf)
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def _pin(A: sp.csr_matrix) -> sp.csr_matrix:
@@ -702,10 +796,12 @@ class _Multigrid:
     preconditioner.  A single level is a direct solve.
     """
 
-    def __init__(self, levels, symmetric: bool, prolongations=(), restrictions=(), order=None):
+    def __init__(self, levels, symmetric: bool, prolongations=(), restrictions=(), order=None, diagonals=None):
         self.levels = levels
         self.P, self.R = prolongations, restrictions
-        self.dinv = [_JACOBI_WEIGHT / A.diagonal() for A in levels[:-1]]
+        if diagonals is None:
+            diagonals = [A.diagonal() for A in levels[:-1]]
+        self.dinv = [_JACOBI_WEIGHT / d for d in diagonals]
         self.bottom = _BandFactor(levels[-1], symmetric, order)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
@@ -743,40 +839,38 @@ class CorrectorOperator:
     them all.  A single grid is a batch of one; `grid` is that grid, and
     None on larger batches (`split` views a stacked vector per grid).
 
-    Holds the stiffness K, the mass M on K's index arrays and the 1-D
-    factors of M, `mass_factors` = (w, Mx, My) with M = diag(w) (x) Mx (x)
-    My, one weight per grid: P1 masses for Q1 (`from_field`), identities
-    for the lattice.  Also the loads b_i for xi = e_i (rhs for any xi is
-    xi . b), the prolongations I_B (x) Px (x) Py and their transposes (the
-    restrictions) and, once a system is requested, the coarse levels: the
-    Galerkin stiffness P^T K P and the mass from the 1-D Galerkin factors,
-    sharing the coarse grid's nine-point pattern.  A grid whose blocks are
-    cheap to factor (`BAND_ENTRIES`) has no coarse levels and builds none of
-    these pieces.  `A_q` is the coefficient at the quadrature points,
-    (B * ncells, 4, 2, 2), when the operator was built from a field.  The
-    operator keeps no shifted matrices: each call of `systems` builds one
-    shift's hierarchy, shared by the systems it returns, on a band
-    factorization of its bottom level (Cholesky when the field is
-    symmetric).
+    Every level of the hierarchy is a `_Level`: the stiffness as a stencil
+    table `stiffness` (B, tx, ty, 3, 3) on a tx x ty period torus, and the
+    mass `mass` = (w, mx, my), M = diag(w) (x) mx (x) my with 1-D tables on
+    the same torus: P1 masses of unit cells for Q1 (`from_field`),
+    identities for the lattice.  `levels` starts with the finest; the
+    coarse ones, Galerkin products of the tables, are built when a system
+    is first requested, with no sparse product.  `K` and `M` are the finest
+    level's matrices.  Also held: the loads b_i for xi = e_i (rhs for any xi
+    is xi . b) and the prolongations I_B (x) Px (x) Py with their
+    transposes, the restrictions.  A grid whose blocks are cheap to factor
+    (`BAND_ENTRIES`) has one level and no prolongation.  `A_q` is the
+    coefficient at the quadrature points, (B * ncells, 4, 2, 2), when the
+    operator was built from a field.  The operator keeps no shifted
+    matrices: each call of `systems` builds one shift's hierarchy, shared by
+    the systems it returns, on a band factorization of its bottom level
+    (Cholesky when the field is symmetric).
     """
 
-    def __init__(self, grids, bc, stiffness, mass, mass_factors, loads, symmetric, A_q=None):
+    def __init__(self, grids, bc, stiffness, mass, loads, symmetric, A_q=None):
         _check_bc(bc)
         self.grids, self.bc = _batch(grids), bc
         self.grid = self.grids[0] if len(self.grids) == 1 else None
-        if not (np.array_equal(stiffness.indptr, mass.indptr) and np.array_equal(stiffness.indices, mass.indices)):
-            raise ValueError("K and M must share one sparsity pattern")
-        self.K, self.M, self.mass_factors = stiffness, mass, mass_factors
+        nx, ny = self.grids[0].nx, self.grids[0].ny
+        self.levels = [_Level((nx, ny), bc, stiffness, mass)]
         self.loads = loads
         self.symmetric = bool(symmetric)
         self.A_q = A_q
-        self._cells = (self.grids[0].nx, self.grids[0].ny)  # the cells over which A_q repeats
+        self._cells = stiffness.shape[1:3]  # the period torus, over which A_q repeats
         B = len(self.grids)
-        self.shapes, self._prolongations_1d = _hierarchy(self.grids[0].nx, self.grids[0].ny, bc)
-        P = [sp.kron(px, py, format="csr") for px, py in self._prolongations_1d]
-        self.prolongations = [_block_diag(p, B) for p in P]
-        self.restrictions = [_block_diag(p.T.tocsr(), B) for p in P]
-        self._coarse = None  # [(K_l, M_l)] below the finest, on shared patterns
+        self.shapes, prolongations_1d = _hierarchy(nx, ny, bc)
+        self.restrictions = [_restriction(px, py, B) for px, py in prolongations_1d]
+        self.prolongations = [R.T for R in self.restrictions]  # CSC, whose product is the faster one here
 
     @classmethod
     def from_field(cls, grids, field: CoefficientField, bc: str = "dirichlet0"):
@@ -785,11 +879,14 @@ class CorrectorOperator:
         When the field's period spans a whole number of cells (cx, cy) of
         every grid of the batch (`_cells_per_period`), A is evaluated only
         on the first cx x cy cells of each grid.  Their cell stiffnesses and
-        loads are summed as a torus, and every free dof (i, j) takes the
-        nine-point row and load of torus node (i mod cx, j mod cy), every
-        cell the A of its period cell.  Otherwise the period is the grid
-        itself, and this gather reproduces the direct sum bitwise.  Raises
-        ValueError when A is NaN or inf at any point evaluated.
+        loads are summed as a torus, the finest level's table, and every
+        free dof (i, j) takes the nine-point row and load of torus node
+        (i mod cx, j mod cy), every cell the A of its period cell.
+        Otherwise the period is the grid itself, and this gather reproduces
+        the direct sum bitwise.  Raises ValueError, naming the field and a
+        Gauss point, when A at a point evaluated is NaN or inf, is not
+        symmetric (to `np.isclose`) while the field is flagged symmetric, or
+        has a symmetric part that is not positive definite.
         """
         grids = _batch(grids)
         B, nx, ny = len(grids), grids[0].nx, grids[0].ny
@@ -797,48 +894,41 @@ class CorrectorOperator:
         period = _period_grids(grids, cells)
         points = period[0].quad_points() if B == 1 else np.concatenate([g.quad_points() for g in period])
         A_p = field(points).reshape(-1, 4, 2, 2)
-        finite = np.isfinite(A_p).all(axis=(-1, -2)).ravel()
-        if not finite.all():
-            raise ValueError(f"field {field.name!r} is NaN or inf at the Gauss point {tuple(points[np.argmin(finite)])}")
-        factors = _q1_mass_factors(grids, bc)
-        rows = _stencil_data(period, "periodic", _q1_stiffness_local(period, A_p)).reshape(B, -1, 9)
-        K, M = _stencil_matrices(
-            nx, ny, bc, B, [rows[:, _period_index(nx, ny, bc, cells)], _mass_rows(factors, bc)]
-        )
+        _check_coefficient(field, A_p.reshape(-1, 2, 2), points)
+        K = _stencil_data(period, "periodic", _q1_stiffness_local(period, A_p)).reshape(B, *cells, 3, 3)
+        mass = (np.array([g.hx * g.hy for g in grids]), *(np.tile(_UNIT_MASS, (c, 1)) for c in cells))
         A_q = A_p.reshape(B, -1, 4, 2, 2)[:, _period_index(nx, ny, "periodic", cells)].reshape(-1, 4, 2, 2)
-        op = cls(grids, bc, K, M, factors, _tiled_loads(grids, bc, cells, A_p), field.is_symmetric, A_q=A_q)
-        op._cells = cells
-        return op
+        return cls(grids, bc, K, mass, _tiled_loads(grids, bc, cells, A_p), field.is_symmetric, A_q=A_q)
 
-    def _coarse_levels(self) -> list:
-        """(K_l, M_l) below the finest: Galerkin K, and M from the 1-D Galerkin factors."""
-        w, Mx, My = self.mass_factors
-        K, out = self.K, []
-        levels = zip(self.shapes[1:], self._prolongations_1d, self.prolongations, self.restrictions)
-        for (nx, ny), (px, py), P, R in levels:
-            square = py is px and My is Mx  # one 1-D product serves both axes
-            Mx = px.T @ Mx @ px
-            My = Mx if square else py.T @ My @ py
-            (M,) = _stencil_matrices(nx, ny, self.bc, len(self.grids), [_mass_rows((w, Mx, My), self.bc)])
-            K = _on_pattern(R @ K @ P, M)
-            out.append((K, M))
-        return out
+    @property
+    def K(self) -> sp.csr_matrix:
+        return self.matrix(0.0)
+
+    @property
+    def M(self) -> sp.csr_matrix:
+        level = self.levels[0]
+        return level.matrix(level.M)
+
+    def _hierarchy(self) -> list:
+        """`levels`, once the coarse ones are built."""
+        while len(self.levels) < len(self.shapes):
+            self.levels.append(self.levels[-1].coarse())
+        return self.levels
 
     def transpose(self) -> "CorrectorOperator":
         """The operator of the transpose field A^T (dual correctors).
 
-        Shares the mass, the prolongations and the coarse mass matrices.
+        Every level's stiffness table is reflected (`_reflect`); the masses,
+        the patterns and the prolongations are shared.
         """
         if self.symmetric:
             return self
         t = copy.copy(self)
         t.A_q = np.swapaxes(self.A_q, -1, -2)
-        t.K = _on_pattern(self.K.T, self.M)
+        t.levels = [level.transposed() for level in self._hierarchy()]
         (cx, cy), B = self._cells, len(self.grids)
         A_p = t.A_q.reshape(B, self.grids[0].nx, self.grids[0].ny, 4, 2, 2)[:, :cx, :cy]
         t.loads = _tiled_loads(self.grids, self.bc, self._cells, A_p.reshape(-1, 4, 2, 2))
-        if self._coarse is not None:
-            t._coarse = [(_on_pattern(Kc.T, Mc), Mc) for Kc, Mc in self._coarse]
         return t
 
     def split(self, values: np.ndarray) -> list:
@@ -858,7 +948,8 @@ class CorrectorOperator:
 
     def matrix(self, inv_T: float) -> sp.csr_matrix:
         """K + inv_T M on the free dofs."""
-        return _shifted(self.K, self.M, inv_T)
+        level = self.levels[0]
+        return level.matrix(_shifted(level, inv_T))
 
     def systems(self, inv_T: float, rhs_list) -> list:
         """Systems (K + inv_T M) x = b for each b, sharing one hierarchy.
@@ -872,14 +963,15 @@ class CorrectorOperator:
         pinned = self.bc == "periodic" and inv_T == 0.0
         if pinned and self.grid is None:
             raise ValueError("a batch of periodic grids needs a positive shift (no pinning)")
-        if self._coarse is None:
-            self._coarse = self._coarse_levels()
-        levels = [self.matrix(inv_T)] + [_shifted(Kc, Mc, inv_T) for Kc, Mc in self._coarse]
-        P, R = self.prolongations, self.restrictions
+        tables = [(level, _shifted(level, inv_T)) for level in self._hierarchy()]
+        levels = [level.matrix(table) for level, table in tables]
+        diagonals = [level.diagonal(table)[int(pinned):] for level, table in tables[:-1]]
+        R = self.restrictions
         if pinned:
-            levels, P, R = ([_pin(A) for A in mats] for mats in (levels, P, R))
+            levels, R = ([_pin(A) for A in mats] for mats in (levels, R))
+        P = [r.T for r in R]
         order = _band_order(*self.shapes[-1], self.bc, len(self.grids), pinned)
-        mg = _Multigrid(levels, self.symmetric, P, R, order)
+        mg = _Multigrid(levels, self.symmetric, P, R, order, diagonals)
         return [
             SparseSystem(
                 matrix=levels[0], rhs=b[1:] if pinned else b, symmetric=self.symmetric,
@@ -890,6 +982,25 @@ class CorrectorOperator:
 
     def system(self, inv_T: float, rhs: np.ndarray) -> SparseSystem:
         return self.systems(inv_T, [rhs])[0]
+
+
+def _shifted(level: _Level, s: float) -> np.ndarray:
+    """The table of K + s M on a level."""
+    return level.K if s == 0.0 else level.K + s * level.M
+
+
+def _check_coefficient(field: CoefficientField, A: np.ndarray, points: np.ndarray) -> None:
+    """Raise ValueError at the first Gauss point where A (npoints, 2, 2) is not a valid coefficient."""
+    a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
+    checks = [(lambda: ~np.isfinite(A.reshape(-1, 4)).all(axis=1), "is NaN or inf")]
+    if field.is_symmetric:
+        checks.append((lambda: np.abs(b - c) > 1e-8 + 1e-5 * np.abs(c), "is flagged symmetric but A12 != A21"))
+    s = lambda: 0.5 * (b + c)
+    checks.append((lambda: ~((a * d - s() ** 2 > 0) & (a + d > 0)), "has a symmetric part that is not positive definite"))
+    for bad, what in checks:
+        bad = bad()
+        if bad.any():
+            raise ValueError(f"field {field.name!r} {what} at the Gauss point {tuple(points[np.argmax(bad)])}")
 
 
 def solve(

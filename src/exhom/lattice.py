@@ -38,11 +38,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .averaging import Filter, _check_L, _support
 from .corrector import CorrectorSolution, extrapolate, solve_ladder
-from .grid import CorrectorOperator, StructuredGrid, _on_pattern
+from .grid import CorrectorOperator, StructuredGrid, _period_index
 
 __all__ = [
     "LatticeField",
@@ -218,46 +217,25 @@ def _edge_arrays(field: LatticeField, coords):
 
 
 def _lattice_operator(field: LatticeField, R: int) -> CorrectorOperator:
-    """Five-point operator of the box of side R on its interior sites."""
+    """Five-point operator of the box of side R on its interior sites.
+
+    Its stiffness is a table on the 4-periodic torus of the conductivity
+    cell, which the box's grid tiles: grid node i sits at lattice coordinate
+    i - R/2, so torus row r holds the site at coordinate r - R/2 (mod 4).
+    """
     S, coords = _box_offsets(R)
-    ah, av = _edge_arrays(field, coords)  # (S+1, S+1) at all sites
-
-    nin = S - 1
-    idx = lambda i, j: i * nin + j  # interior (i, j) in 0..S-2
-    I, J = np.meshgrid(np.arange(1, S), np.arange(1, S), indexing="ij")
-    Ii, Jj = I.ravel() - 1, J.ravel() - 1
-    center = idx(Ii, Jj)
-
-    aE = ah[I, J].ravel()       # edge to (i+1, j)
-    aW = ah[I - 1, J].ravel()   # edge from (i-1, j)
-    aN = av[I, J].ravel()       # edge to (i, j+1)
-    aS = av[I, J - 1].ravel()   # edge from (i, j-1)
-
-    diag = aE + aW + aN + aS
-    rows = [center]
-    cols = [center]
-    vals = [diag]
-
-    def couple(mask, nb_index, a):
-        rows.append(center[mask])
-        cols.append(nb_index[mask])
-        vals.append(-a[mask])
-
-    couple(Ii + 1 <= nin - 1, idx(Ii + 1, Jj), aE)
-    couple(Ii - 1 >= 0, idx(Ii - 1, Jj), aW)
-    couple(Jj + 1 <= nin - 1, idx(Ii, Jj + 1), aN)
-    couple(Jj - 1 >= 0, idx(Ii, Jj - 1), aS)
-
-    K = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nin * nin, nin * nin),
-    ).tocsr()
-    loads = np.stack([aE - aW, aN - aS])
+    x = np.arange(P) - S // 2
+    X1, X2 = np.meshgrid(x, x, indexing="ij")
+    aE, aW = field.a_h(X1, X2), field.a_h(X1 - 1, X2)  # edges to (i+1, j) and from (i-1, j)
+    aN, aS = field.a_v(X1, X2), field.a_v(X1, X2 - 1)  # edges to (i, j+1) and from (i, j-1)
+    K = np.zeros((1, P, P, 3, 3))
+    K[0, :, :, 1, 1] = aE + aW + aN + aS
+    K[0, :, :, 2, 1], K[0, :, :, 0, 1], K[0, :, :, 1, 2], K[0, :, :, 1, 0] = -aE, -aW, -aN, -aS
+    loads = np.stack([aE - aW, aN - aS]).reshape(2, -1)[:, _period_index(S, S, "dirichlet0", (P, P))]
     lo, hi = float(coords[0]), float(coords[-1])
     grid = StructuredGrid.from_box((lo, hi, lo, hi), S, S)
-    eye = sp.identity(nin, format="csr")
-    M = _on_pattern(sp.identity(nin * nin, format="csr"), K)
-    return CorrectorOperator(grid, "dirichlet0", K, M, (np.ones(1), eye, eye), loads, symmetric=True)
+    eye = np.tile([0.0, 1.0, 0.0], (P, 1))
+    return CorrectorOperator(grid, "dirichlet0", K, (np.ones(1), eye, eye), loads, symmetric=True)
 
 
 def _box_correctors(field: LatticeField, R: int, T: float, k: int, xis, rel_tol: float) -> list:

@@ -28,7 +28,6 @@ from exhom.grid import (
     _q1_loads,
     _q1_stiffness_local,
     _stencil_data,
-    _stencil_matrices,
     _stencil_pattern,
     solve,
 )
@@ -205,7 +204,8 @@ def _direct_path(grids, field, bc):
     """K, loads and A_q summed over every cell of every grid, as without a period."""
     A_q = field(np.concatenate([g.quad_points() for g in grids])).reshape(-1, 4, 2, 2)
     rows = _stencil_data(grids, bc, _q1_stiffness_local(grids, A_q))
-    (K,) = _stencil_matrices(grids[0].nx, grids[0].ny, bc, len(grids), [rows])
+    indices, indptr, gather = _stencil_pattern(grids[0].nx, grids[0].ny, bc, len(grids))
+    K = sp.csr_matrix((rows.ravel()[gather], indices, indptr), shape=(indptr.size - 1,) * 2)
     return K, _q1_loads(grids, bc, A_q), A_q
 
 
@@ -539,7 +539,7 @@ def test_hmm_patch_batch_is_one_cholesky_level(krylov_iterations):
     op = CorrectorOperator.from_field(grids, catalog("mat2"))
     assert op.shapes == [(24, 24)] and not op.prolongations and 23**3 <= BAND_ENTRIES
     systems = op.systems(128.0, [op.rhs(xi) for xi in np.eye(2)])  # 1 / (T eps^2) at T = 2, eps = 1/16
-    assert op._coarse == []
+    assert len(op.levels) == 1
     for system in systems:
         assert len(system.multigrid.levels) == 1 and system.multigrid.bottom.cholesky
         assert max(system.multigrid.bottom.kl, system.multigrid.bottom.ku) == 24
@@ -559,6 +559,11 @@ def _galerkin_masses(op):
     return out
 
 
+def _level_matrices(op):
+    """(K, M) of every level of the operator's hierarchy, finest first."""
+    return [(level.matrix(level.K), level.matrix(level.M)) for level in op.levels]
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -569,33 +574,80 @@ def _galerkin_masses(op):
                                              "periodic"),
         lambda: CorrectorOperator.from_field(_batch_of_patches(192, 120), catalog("mat4")),
         lambda: _lattice_operator(default_pattern(), 128),
+        # tiled on a 16-cell period, Dirichlet: 106 cells halve to 53, then (odd) to 27
+        lambda: CorrectorOperator.from_field(StructuredGrid.from_box((0.3, 6.925, -0.4, 6.225), 106, 106), catalog("mat2")),
+        # a period of 9 cells, odd: on a Dirichlet grid, and on a periodic one halving 126 -> 63 -> 32
+        lambda: CorrectorOperator.from_field(StructuredGrid.from_box((0.3, 16.3, -0.4, 15.6), 144, 144), catalog("mat4")),
+        lambda: CorrectorOperator.from_field(StructuredGrid.from_box((0.1, 14.1, 0.2, 14.2), 126, 126), catalog("mat4"),
+                                             "periodic"),
     ],
 )
 def test_mass_levels_are_galerkin_products_on_the_stiffness_pattern(make):
     op = make()
     op.systems(1.0, [op.rhs((1.0, 0.0))])
-    levels = [(op.K, op.M)] + op._coarse
+    levels = _level_matrices(op)
     assert len(levels) >= 3
     ops = [op] if op.symmetric else [op, op.transpose()]
     for o in ops:
-        for K, M in [(o.K, o.M)] + o._coarse:
+        for K, M in _level_matrices(o):
             assert np.shares_memory(K.indices, M.indices) and np.shares_memory(K.indptr, M.indptr)
-    for (_, M), ref in zip(op._coarse, _galerkin_masses(op), strict=True):
+    for (_, M), ref in zip(levels[1:], _galerkin_masses(op), strict=True):
         assert abs(M - ref).max() <= 1e-14 * abs(ref).max()
     # the coarse stiffness is the Galerkin product, on the mass's pattern
-    for (K, _), (Kf, _), P in zip(op._coarse, levels, op.prolongations):
+    for (K, _), (Kf, _), P in zip(levels[1:], levels, op.prolongations):
         ref = P.T @ Kf @ P
         assert abs(K - ref).max() <= 1e-14 * abs(ref).max()
+    # and the dual operator's is its transpose
+    if not op.symmetric:
+        for (K, _), (Kf, _), P in zip(_level_matrices(op.transpose())[1:], levels, op.prolongations):
+            ref = (P.T @ Kf @ P).T
+            assert abs(K - ref).max() <= 1e-14 * abs(ref).max()
+
+
+def test_lattice_stiffness_is_five_point():
+    op = _lattice_operator(default_pattern(), 64)
+    assert np.diff(op.K.indptr).max() == 5 and np.diff(op.M.indptr).max() == 5
+
+
+@pytest.fixture
+def sparse_products(monkeypatch):
+    """Count the sparse-sparse matrix products scipy computes."""
+    from scipy.sparse._compressed import _cs_matrix
+
+    count, original = [0], _cs_matrix._matmul_sparse
+
+    def counting(self, other):
+        count[0] += 1
+        return original(self, other)
+
+    monkeypatch.setattr(_cs_matrix, "_matmul_sparse", counting)
+    return count
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CorrectorOperator.from_field(StructuredGrid.square(3.0, 192, center=(0.25, 0.5)), catalog("mat2")),
+        lambda: _lattice_operator(default_pattern(), 160),
+    ],
+)
+def test_set_up_makes_no_sparse_product(sparse_products, make):
+    op = make()
+    op.systems(1.0, [op.rhs(xi) for xi in np.eye(2)])
+    assert len(op.levels) >= 3
+    assert sparse_products[0] == 0
+    op.prolongations[0].T @ op.K  # the counter sees a product
+    assert sparse_products[0] == 1
 
 
 @pytest.mark.parametrize("nx, ny, B", [(2, 2, 1), (2, 7, 1), (9, 2, 2), (5, 5, 3), (17, 11, 1), (24, 24, 4), (40, 33, 2)])
 def test_dirichlet_pattern_is_the_kronecker_product_of_1d_tridiagonal_patterns(nx, ny, B):
-    indices, indptr, slots, starts = _stencil_pattern(nx, ny, "dirichlet0", B)
+    indices, indptr, slots = _stencil_pattern(nx, ny, "dirichlet0", B)
     tri = lambda m: sp.csr_matrix(np.abs(np.subtract.outer(np.arange(m), np.arange(m))) <= 1)
     ref = sp.kron(sp.identity(B, format="csr"), sp.kron(tri(nx - 1), tri(ny - 1)), format="csr")
     ref.eliminate_zeros()  # kron may store dense blocks
     ref.sort_indices()
-    assert starts is None and indices.dtype == indptr.dtype == np.int32
+    assert indices.dtype == indptr.dtype == np.int32
     assert np.array_equal(indptr, ref.indptr) and np.array_equal(indices, ref.indices)
     # each slot picks (row, neighbour offset (dx, dy)) from the (B * n, 9) rows of `_stencil_data`
     rows, dx, dy = slots // 9, slots % 9 // 3 - 1, slots % 3 - 1
