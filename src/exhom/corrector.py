@@ -283,16 +283,10 @@ def psi_identity_check(T: float, k: int, lambdas) -> float:
     so both sides are evaluated on exact rationals: the deviation is zero
     whenever the induction is implemented correctly.
     """
-    worst = 0.0
-    Tq = Fraction(T)
-    for lam in np.atleast_1d(lambdas):
-        lamq = Fraction(float(lam))
-        lhs = 1 / lamq - psi_value(Tq, k, lamq)
-        prod = Fraction(1)
-        for i in range(k):
-            prod *= 1 / (Tq * 2**i) + lamq
-        rhs = 1 / (Fraction(2) ** (k * (k - 1) // 2) * Tq**k * lamq * prod)
-        worst = max(worst, float(abs(lhs - rhs) / abs(rhs)))
+    Tq, worst = Fraction(T), 0.0
+    for lam in map(Fraction, np.atleast_1d(lambdas).astype(float)):
+        rhs = 1 / (Fraction(2) ** (k * (k - 1) // 2) * Tq**k * lam * math.prod(1 / (Tq * 2**i) + lam for i in range(k)))
+        worst = max(worst, float(abs(1 / lam - psi_value(Tq, k, lam) - rhs) / abs(rhs)))
     return worst
 
 

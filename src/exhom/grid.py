@@ -6,22 +6,17 @@ the quadrature points.  Boundary treatments: homogeneous Dirichlet or
 periodic.  A `DofVector` always holds a value on every free dof of its grid.
 
 A `CorrectorOperator` is built once per (field, grid, bc).  It evaluates A
-at the quadrature points of one period of the field, sums the cell
-stiffness matrices (one (cells, 16) @ (16, 16) product) and the loads
--int grad(psi) . A e_i over that period as a torus, and gathers the
-nine-point stiffness K and the loads onto the free dofs by index modulo
-the period (`source_load` gives int f psi).  The period is the first
-cx x cy cells from the grid's origin when the field's period spans a whole
-number of cells, fewer than the grid has; otherwise it is the whole grid,
-and the gather reproduces the direct sum bitwise.  The operator also holds
-the mass M.  The mass of a uniform grid is a Kronecker product of 1-D
-factors, M = diag(w) (x) Mx (x) My: for Q1 the 1-D P1 masses of unit cells
-with w = hx hy, for the lattice identity factors with w = 1.  It is written
-from its 1-D factors straight onto the nine-point rows, with no pass over
-the cells.  K and M are filled on one sparsity pattern, built (and, on
-periodic grids, sorted) once per level, so they share their index arrays.
-Every zero-order shift s = 1/T is then the system (K + s M) x = b, a sum of
-data arrays, so a dyadic ladder in T re-assembles nothing.
+at the quadrature points of one period of the field: the first cx x cy
+cells from the grid's origin when the period spans a whole number of cells,
+fewer than the grid has, else the whole grid.  Summing the cell stiffnesses
+and the loads -int grad(psi) . A e_i over it as a torus gives the stiffness
+as a stencil table (B, cx, cy, 3, 3), each torus node's couplings to its
+neighbour offsets, read by free dof (i, j) at node (i mod cx, j mod cy).
+The mass M = diag(w) (x) Mx (x) My, for Q1 the 1-D P1 masses of unit cells
+with w = hx hy and for the lattice identities with w = 1, is held as 1-D
+tables on the same torus.  Every matrix of a level is one gather of a table
+onto the level's CSR pattern, built once, so K, M and every shift K + s M
+share their index arrays, and a dyadic ladder in T re-assembles nothing.
 
 The assembly carries a leading batch axis: an operator is built for a
 batch of grids that share their cell counts (nx, ny) and bc, each with its
@@ -42,13 +37,12 @@ would hold more than `BAND_ENTRIES` band-factor entries (free dofs times the
 shorter free extent); an odd count n halves to ceil(n/2), the last coarse
 cell one fine cell wide.  A block that is cheap to factor, such as an HMM
 patch, is therefore not halved at all: its system is one level, solved
-directly, and the Krylov method stops after one iteration.  Coarse
-stiffnesses are Galerkin products P^T K P; coarse masses are Galerkin
-products of the 1-D factors, diag(w) (x) Px^T Mx Px (x) Py^T My Py, which
-equal P^T M P with no two-dimensional product.  Both are built once per
-operator, on the coarse grid's nine-point pattern, so a shift costs one sum
-of data arrays per level.  Each level above the bottom smooths with damped
-Jacobi.  The bottom is factorized in LAPACK band storage, a band Cholesky
+directly, and the Krylov method stops after one iteration.  A coarse level
+is the Galerkin product P^T K P taken on the tables one axis at a time
+(`_galerkin_axis`), the coarse mass that of the 1-D mass tables: no sparse
+product is formed, and a periodic field's coarse tables stay one (halved)
+period.  The restrictions P^T are written from the 1-D prolongations.  Each
+level above the bottom smooths with damped Jacobi.  The bottom is factorized in LAPACK band storage, a band Cholesky
 (pbtrf) when the system is symmetric and a band LU (gbtrf) otherwise, its
 dofs numbered along the grid's longer axis so that the band is the shorter
 free extent of a block: no large grid is ever factorized whole.  A system
@@ -67,6 +61,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -289,11 +284,6 @@ def _free_extents(nx: int, ny: int, bc: str) -> tuple:
     return (nx, ny) if bc == "periodic" else (nx - 1, ny - 1)
 
 
-def _n_free(nx: int, ny: int, bc: str) -> int:
-    mx, my = _free_extents(nx, ny, bc)
-    return mx * my
-
-
 def _batch(grids) -> tuple:
     """A grid, or a sequence of grids sharing (nx, ny), as a tuple."""
     grids = (grids,) if isinstance(grids, StructuredGrid) else tuple(grids)
@@ -340,51 +330,44 @@ def _cell_sum(grids, bc: str, cell_values: np.ndarray) -> np.ndarray:
     return _free_part(nodal, bc)
 
 
-def _cuts(m: int) -> list:
-    """(start, stop) of the runs first node, inner nodes, last node of m nodes in a row (fewer when m < 3)."""
-    cuts = sorted({0, min(1, m), max(m - 1, 0), m})
-    return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+def _runs(m: int) -> list:
+    """(start, stop) of the runs first node, inner nodes, last node of m nodes in a row."""
+    c = sorted({0, min(1, m), max(m - 1, 0), m})
+    return [r for r in zip(c, c[1:]) if r[0] < r[1]]
 
 
-def _runs_csr(xruns, yruns, my: int, row, shift, dtypes) -> tuple:
-    """CSR arrays (indptr, arrays) of a matrix whose rows (i, j), x-major on an mx x my grid, come in runs.
+def _runs_csr(mx: int, my: int, row, shift, dtypes, B: int, steps) -> tuple:
+    """CSR arrays (indptr, arrays) of I_B (x) A for A whose rows (i, j), x-major, come in runs (`_runs`) per axis.
 
-    The rows of an x run (`_cuts`) and a y run hold equally many entries:
-    `row(x0, y0, y1)` gives, per array, those of rows (x0, j), j in y0..y1-1,
-    as one (y1 - y0, c) array, and row (i, j) of an x run is row (x0, j)
-    plus shift(x0, x1)[a][i - x0] on array a.  So each x run fills its block
-    of the arrays in one sum, with no pass over the rows and no sort.
+    `row(x0, y0, y1)` gives, per array, the entries of rows (x0, j), j in
+    y0..y1-1, as one (y1 - y0, c) array; row (i, j) of an x run is row
+    (x0, j) plus shift(x0, x1)[a][i - x0] on array a, and block b adds
+    steps[a] * b.  So each x run fills its block of the arrays in one sum,
+    with no pass over the rows and no sort.
     """
-    parts = [[row(x0, y0, y1) for y0, y1 in yruns] for x0, _ in xruns]
-    counts = np.empty((xruns[-1][1], my), dtype=np.int32)
-    for (x0, x1), p in zip(xruns, parts):
-        for (y0, y1), q in zip(yruns, p):
-            counts[x0:x1, y0:y1] = q[0].shape[1]
+    parts = [(x0, x1, [row(x0, y0, y1) for y0, y1 in _runs(my)]) for x0, x1 in _runs(mx)]
+    counts = np.empty((B, mx, my), dtype=np.int32)
+    for x0, x1, p in parts:
+        for (y0, y1), q in zip(_runs(my), p):
+            counts[:, x0:x1, y0:y1] = q[0].shape[1]
     indptr = np.zeros(counts.size + 1, dtype=np.int32)
     np.cumsum(counts.ravel(), out=indptr[1:])
-    out = [np.empty(indptr[-1], dtype=dt) for dt in dtypes]
-    for (x0, x1), p in zip(xruns, parts):
+    nnz = indptr[mx * my]
+    out = [np.empty((B, nnz), dtype=dt) for dt in dtypes]
+    for x0, x1, p in parts:
         block = slice(indptr[x0 * my], indptr[x1 * my])
         for a, s, q in zip(out, shift(x0, x1), zip(*p)):
-            np.add(s[:, None], np.concatenate([t.ravel() for t in q]), out=a[block].reshape(x1 - x0, -1))
-    return indptr, out
-
-
-def _blocks(indptr: np.ndarray, arrays, steps, B: int) -> tuple:
-    """The CSR arrays of I_B (x) A from A's: array a of block b is offset by steps[a] * b."""
-    if B == 1:
-        return indptr, arrays
-    b = np.arange(B, dtype=np.int32)[:, None]
-    indptr = np.append((indptr[:-1] + indptr[-1] * b).ravel(), B * indptr[-1]).astype(np.int32)
-    return indptr, [(a + s * b).ravel() for a, s in zip(arrays, steps)]
+            np.add(s[:, None], np.concatenate([t.ravel() for t in q]), out=a[0, block].reshape(x1 - x0, -1))
+    for a, step in zip(out, steps):
+        a[1:] = a[0] + step * np.arange(1, B, dtype=np.int32)[:, None]
+    return indptr, [a.ravel() for a in out]
 
 
 def _neighbour_offsets(k: int, n: int, periodic: bool) -> tuple:
-    """Neighbour offsets in -1..1 of free node k on an axis of n cells, sorted by the neighbour's index.
+    """Offsets in -1..1 of free node k's neighbours on an axis of n cells, sorted by the neighbour's index.
 
-    Periodic neighbours wrap around, Dirichlet ones on the boundary are
-    dropped.  On a periodic axis of two cells both neighbours are one node,
-    stored at offset -1 (`_Level.matrix` folds +1 onto it).
+    On a periodic axis of two cells both neighbours are one node, stored at
+    offset -1 (`_Level.matrix` folds +1 onto it).
     """
     if periodic:
         return tuple(sorted((-1, 0) if n == 2 else (-1, 0, 1), key=lambda d: (k + d) % n))
@@ -394,16 +377,12 @@ def _neighbour_offsets(k: int, n: int, periodic: bool) -> tuple:
 def _stencil_pattern(nx: int, ny: int, bc: str, B: int, periods=None, used=None) -> tuple:
     """CSR pattern of a block-diagonal stencil matrix and the gather that fills it: (indices, indptr, gather).
 
-    A block's row r, free dof (i, j), holds the neighbour offsets (dx, dy)
-    in -1..1 that `used` (3 x 3, default all) marks and whose neighbour is a
-    free dof (`_neighbour_offsets`), sorted by column.  Its data is picked
-    from a (B, tx, ty, 3, 3) table, flattened: entry (dx, dy) of free dof
-    (i, j) of block b is [b, (i + lo) mod tx, (j + lo) mod ty, dx + 1, dy +
-    1], with lo the first free node (0 periodic, 1 Dirichlet), and `gather`
-    holds that flat position per stored entry.  Without `periods` the table
-    is the free dofs themselves, (B * n, 9) rows.  Only the first and the
-    last node of an axis differ in their neighbours, so `_runs_csr` fills
-    the arrays.
+    Free dof (i, j) stores its neighbours' offsets (dx, dy) that `used` (3 x
+    3, default all) marks, sorted by column.  `gather` holds, per entry, its
+    flat position in a (B, tx, ty, 3, 3) table: free dof (i, j) of block b
+    reads [b, (i + lo) mod tx, (j + lo) mod ty], lo its first free node (0
+    periodic, 1 Dirichlet), or without `periods` the (B * n, 9) rows of the
+    free dofs themselves.
     """
     periodic = bc == "periodic"
     mx, my = _free_extents(nx, ny, bc)
@@ -425,8 +404,7 @@ def _stencil_pattern(nx: int, ny: int, bc: str, B: int, periods=None, used=None)
     def shift(x0, x1):
         return np.arange(x1 - x0, dtype=np.int32) * my, pos_x[x0:x1, 1] - pos_x[x0, 1]
 
-    indptr, arrays = _runs_csr(_cuts(mx), _cuts(my), my, row, shift, (np.int32, np.intp))
-    indptr, (indices, gather) = _blocks(indptr, arrays, (mx * my, 9 * tx * ty), B)
+    indptr, (indices, gather) = _runs_csr(mx, my, row, shift, (np.int32, np.intp), B, (mx * my, 9 * tx * ty))
     return indices, indptr, gather
 
 
@@ -454,73 +432,45 @@ _WEIGHTS = (0.5, 1.0, 0.5)
 def _galerkin_axis(T: np.ndarray, axis: int, n: int, periodic: bool, stride: int) -> np.ndarray:
     """P^T K P along one grid axis of n cells, in offset form, on a table T.
 
-    T's `axis` is the node along the grid axis (free node i reads entry i
-    mod t), and its last axis holds the neighbour offsets: this axis's
-    offset is digit (k // stride) % 3 of entry k.  Coarse node I sits at
-    fine node 2I and spreads onto fine nodes 2I + a with weights w_I(a), so
-
-        Kc[I, D] = sum_{a, b} w_I(a) w_{I+D}(b) K[2I + a, 2D + b - a]
-
-    over the 13 pairs (a, b) whose fine offset 2D + b - a lies in -1..1.
-    When n is even the weights are (1/2, 1, 1/2) at every free coarse node,
-    the coarse table has period t/2 (t even) or t, and each a is one matrix
-    product over the last axis.  When n is odd the table is taken over the
-    whole axis, period (n + 1) / 2, with per-node weights: on a Dirichlet
-    axis coarse node 0 and fine node n (one past the last coarse node) are
-    boundary nodes of weight 0, so rows and couplings of boundary nodes,
-    which a table may hold, never count.  On a periodic axis the
-    wrap-around cell, from coarse node nc - 1 (fine node n - 1) to coarse
-    node 0, is one fine cell wide: neither node spreads across it, and
-    their coupling is the fine one.
+    T's `axis` is the node on the grid axis (free node i reads entry i mod
+    t); its last axis holds the offsets, this axis's being digit (k //
+    stride) % 3 of entry k.  Coarse node I sits at fine node 2I and spreads
+    onto fine nodes 2I + a with weights w_I(a), so Kc[I, D] = sum over a, b
+    of w_I(a) w_{I+D}(b) K[2I + a, 2D + b - a], 13 pairs with |2D + b - a|
+    <= 1.  On an even n every free coarse node weighs (1/2, 1, 1/2), and the
+    coarse period is t/2 (t even) or t.  On an odd n the table spans the
+    axis, period (n + 1) / 2, and coarse node nc - 1 (fine node n - 1)
+    spreads no further: on a Dirichlet axis fine node n is a boundary node,
+    and what a table holds for boundary nodes never counts; on a periodic
+    one the wrap-around cell, from coarse node nc - 1 to 0, is one fine cell
+    wide, so neither spreads across it and their coupling is the fine one.
     """
     t, nc, L = T.shape[axis], (n + 1) // 2, T.shape[-1]
     tc = (t // 2 if t % 2 == 0 else t) if n % 2 == 0 else nc
     w = np.tile(_WEIGHTS, (tc, 1))
     if n % 2 == 1:
         w[-1, 2] = w[0, 0] = 0.0
-        if not periodic:
-            w[0] = 0.0
     I = np.arange(tc)
     rows = (2 * I[:, None] + np.arange(-1, 2)) % t
-    eye, G = np.eye(L // 3), []
+    out, E = np.zeros(T.shape[:axis] + (tc,) + T.shape[axis + 1 :]), np.eye(L // 3)
     for a in (-1, 0, 1):
         C = np.zeros((tc, 3, 3))  # [I, fine offset d + 1, coarse offset D + 1]
-        for D in (-1, 0, 1):
-            for b in (-1, 0, 1):
-                d = 2 * D + b - a
-                if -1 <= d <= 1:
-                    C[:, d + 1, D + 1] = w[:, a + 1] * w[(I + D) % tc, b + 1]
-        # G[a][I, k, l]: the weight of fine entry k of node 2I + a in coarse entry l of node I
-        Ga = eye[:, None, :, None] * C[:, None, :, None, :] if stride == 1 else C[:, :, None, :, None] * eye[:, None, :]
-        G.append(Ga.reshape(tc, L, L))
-    if n % 2 == 0 and t % 2 == 0:  # coarse node I takes even fine node I and odd fine nodes I - 1, I
-        at = lambda k: (slice(None),) * axis + (k,)
-        out = T[at(slice(0, None, 2))] @ G[1][0]
-        odd = T[at(slice(1, None, 2))] @ np.concatenate([G[2][0], G[0][0]], axis=1)
-        out += odd[..., :L]
-        out[at(slice(1, None))] += odd[at(slice(None, -1))][..., L:]
-        out[at(0)] += odd[at(-1)][..., L:]
-        return out
-    out = np.zeros(T.shape[:axis] + (tc,) + T.shape[axis + 1 :])
-    for a in (-1, 0, 1):
+        for D, b in itertools.product((-1, 0, 1), repeat=2):
+            if abs(2 * D + b - a) <= 1:
+                C[:, 2 * D + b - a + 1, D + 1] = w[:, a + 1] * w[(I + D) % tc, b + 1]
+        # G[I, k, l]: the weight of entry k of fine node 2I + a in entry l of coarse node I
+        G = C[:, None, :, None, :] * E[:, None, :, None] if stride == 1 else C[:, :, None, :, None] * E[:, None, :]
         Xa = np.take(T, rows[:, a + 1], axis=axis)
-        if n % 2 == 0:  # the same weights at every node
-            out += Xa @ G[a + 1][0]
+        if n % 2 == 0:
+            out += Xa @ G[0].reshape(L, L)
         else:
-            out += np.moveaxis(np.einsum("...ik,ikl->...il", np.moveaxis(Xa, axis, -2), G[a + 1]), -2, axis)
+            out += np.moveaxis(np.einsum("...ik,ikl->...il", np.moveaxis(Xa, axis, -2), G.reshape(tc, L, L)), -2, axis)
     if n % 2 == 1 and periodic:
         o, Tm = np.moveaxis(out, axis, 0), np.moveaxis(T, axis, 0)
-        for I, d in ((-1, 1), (0, -1)):
-            k = np.flatnonzero(np.arange(L) // stride % 3 == d + 1)
-            o[I][..., k] = Tm[rows[I, 1]][..., k]
+        for i, d in ((-1, 1), (0, -1)):
+            k = np.arange(L) // stride % 3 == d + 1
+            o[i][..., k] = Tm[rows[i, 1]][..., k]
     return out
-
-
-def _galerkin(K: np.ndarray, shape, periodic: bool) -> np.ndarray:
-    """The coarse table of a (B, tx, ty, 3, 3) stiffness table: `_galerkin_axis` along x, then y."""
-    T = K.reshape(K.shape[:3] + (9,))
-    T = _galerkin_axis(_galerkin_axis(T, 1, shape[0], periodic, 3), 2, shape[1], periodic, 1)
-    return T.reshape(T.shape[:3] + (3, 3))
 
 
 def _reflect(K: np.ndarray) -> np.ndarray:
@@ -535,34 +485,30 @@ def _reflect(K: np.ndarray) -> np.ndarray:
 class _Level:
     """One grid of the hierarchy: K and M as stencil tables, and the pattern every matrix of it shares.
 
-    `K` is a (B, tx, ty, 3, 3) table: per block, for each node (r, s) of a
-    tx x ty torus, its couplings to the neighbour offsets (dx, dy); free dof
-    (i, j) reads node (i mod tx, j mod ty) (`_period_index`).  On the finest
-    level the torus is one period of the field, or the whole grid; the
-    coarse levels are their Galerkin products (`coarse`).  `mass` = (w, mx,
-    my) holds M = w (x) mx (x) my, one weight per block and 1-D tables per
-    axis, and `M` is its table.  The pattern stores the offsets that are
-    nonzero somewhere in K or M, or in their reflections, so that K, M, any
-    K + s M and K^T (`transposed`) are each one gather of a table onto it
-    (`matrix`), and share its index arrays.
+    `K` is a (B, tx, ty, 3, 3) table: per block and node (r, s) of a tx x ty
+    torus, the couplings to the neighbour offsets (dx, dy); free dof (i, j)
+    reads node (i mod tx, j mod ty) (`_period_index`).  `mass` = (w, mx, my)
+    gives M = diag(w) (x) mx (x) my from 1-D tables on the same torus, and
+    `M` is its table.  The pattern stores the offsets nonzero somewhere in
+    K, M or their reflections, so K, M, K + s M and K^T (`transposed`) are
+    each one gather of a table onto it (`matrix`).
     """
 
     def __init__(self, shape, bc: str, K: np.ndarray, mass):
         self.shape, self.bc, self.K, self.mass = shape, bc, K, mass
         w, mx, my = mass
         self.M = w[:, None, None, None, None] * (mx[:, None, :, None] * my[None, :, None, :])
-        used = np.count_nonzero(K.reshape(-1, 9), axis=0).reshape(3, 3) > 0
-        used |= np.outer(mx.any(axis=0), my.any(axis=0))
+        used = (np.count_nonzero(K.reshape(-1, 9), axis=0).reshape(3, 3) > 0) | np.outer(mx.any(0), my.any(0))
         B, tx, ty = K.shape[:3]
         self.indices, self.indptr, self.gather = _stencil_pattern(*shape, bc, B, (tx, ty), used | used[::-1, ::-1])
         self.rows = ((tx * ty) * np.arange(B)[:, None] + _period_index(*shape, bc, (tx, ty))).ravel()
-        self.fold = [bc == "periodic" and n == 2 for n in shape]
 
     def coarse(self) -> "_Level":
-        periodic = self.bc == "periodic"
-        w, mx, my = self.mass
-        mass = (w, *(_galerkin_axis(m, 0, n, periodic, 1) for m, n in zip((mx, my), self.shape)))
-        return _Level(tuple((n + 1) // 2 for n in self.shape), self.bc, _galerkin(self.K, self.shape, periodic), mass)
+        p, (w, mx, my) = self.bc == "periodic", self.mass
+        mass = (w, *(_galerkin_axis(m, 0, n, p, 1) for m, n in zip((mx, my), self.shape)))
+        K = _galerkin_axis(self.K.reshape(self.K.shape[:3] + (9,)), 1, self.shape[0], p, 3)  # x, then y
+        K = _galerkin_axis(K, 2, self.shape[1], p, 1)
+        return _Level(tuple((n + 1) // 2 for n in self.shape), self.bc, K.reshape(K.shape[:3] + (3, 3)), mass)
 
     def transposed(self) -> "_Level":
         t = copy.copy(self)
@@ -571,17 +517,11 @@ class _Level:
 
     def matrix(self, table: np.ndarray) -> sp.csr_matrix:
         """The level's CSR matrix of a table laid out like K."""
-        if any(self.fold):  # an axis of two periodic cells: offset +1 reaches the node that -1 does
-            table = table.copy()
-            if self.fold[0]:
-                table[..., 0, :] += table[..., 2, :]
-            if self.fold[1]:
-                table[..., 0] += table[..., 2]
-        size = self.rows.size
-        return sp.csr_matrix((table.ravel()[self.gather], self.indices, self.indptr), shape=(size, size))
-
-    def diagonal(self, table: np.ndarray) -> np.ndarray:
-        return table[..., 1, 1].ravel()[self.rows]
+        for axis, n in zip((-2, -1), self.shape):
+            if self.bc == "periodic" and n == 2:  # offset +1 reaches the node that -1 does
+                table = np.concatenate([table.take([0], axis) + table.take([2], axis), table.take([1, 2], axis)], axis)
+        n = self.rows.size
+        return sp.csr_matrix((table.ravel()[self.gather], self.indices, self.indptr), shape=(n, n))
 
 
 def _q1_stiffness_local(grids, A_q: np.ndarray) -> np.ndarray:
@@ -668,7 +608,7 @@ def _prolongation_1d(n: int, bc: str) -> sp.csr_matrix:
 def _hierarchy(nx: int, ny: int, bc: str) -> tuple:
     """Cell counts of the halving hierarchy, finest first, and its 1-D prolongations (Px, Py)."""
     shapes, prolongations = [(nx, ny)], []
-    while min(nx, ny) >= 4 and _n_free(nx, ny, bc) * min(_free_extents(nx, ny, bc)) > BAND_ENTRIES:
+    while min(nx, ny) >= 4 and math.prod(_free_extents(nx, ny, bc)) * min(_free_extents(nx, ny, bc)) > BAND_ENTRIES:
         px = _prolongation_1d(nx, bc)
         prolongations.append((px, px if ny == nx else _prolongation_1d(ny, bc)))
         nx, ny = (nx + 1) // 2, (ny + 1) // 2
@@ -677,27 +617,19 @@ def _hierarchy(nx: int, ny: int, bc: str) -> tuple:
 
 
 def _restriction(px: sp.csr_matrix, py: sp.csr_matrix, B: int) -> sp.csr_matrix:
-    """I_B (x) Px^T (x) Py^T in CSR, from the 1-D prolongations.
-
-    A coarse node inside an axis spreads onto the fine nodes two places on
-    from the previous one's, so `_runs_csr` builds it with no product.
-    """
+    """I_B (x) Px^T (x) Py^T in CSR, from the 1-D prolongations (`_runs_csr`: inner rows shift by two fine nodes)."""
     rx, ry = (p.T.tocsr() for p in (px, py))
-    nyf = py.shape[0]
+    (mx, nfx), (my, nfy) = rx.shape, ry.shape
 
     def row(x0, y0, y1):
         s = slice(rx.indptr[x0], rx.indptr[x0 + 1])
         cy, vy = (a[ry.indptr[y0] : ry.indptr[y1]].reshape(y1 - y0, 1, -1) for a in (ry.indices, ry.data))
-        cols = (rx.indices[s, None] * nyf + cy).astype(np.int32)
+        cols = (rx.indices[s, None] * nfy + cy).astype(np.int32)
         return cols.reshape(y1 - y0, -1), (rx.data[s, None] * vy).reshape(y1 - y0, -1)
 
-    def shift(x0, x1):
-        return np.arange(x1 - x0, dtype=np.int32) * (2 * nyf), np.zeros(x1 - x0)
-
-    indptr, arrays = _runs_csr(_cuts(rx.shape[0]), _cuts(ry.shape[0]), ry.shape[0], row, shift, (np.int32, float))
-    indptr, (indices, data) = _blocks(indptr, arrays, (px.shape[0] * nyf, 0), B)
-    shape = (B * rx.shape[0] * ry.shape[0], B * px.shape[0] * nyf)
-    return sp.csr_matrix((data, indices, indptr), shape=shape)
+    shift = lambda x0, x1: (np.arange(x1 - x0, dtype=np.int32) * (2 * nfy), np.zeros(x1 - x0))
+    indptr, (indices, data) = _runs_csr(mx, my, row, shift, (np.int32, float), B, (nfx * nfy, 0))
+    return sp.csr_matrix((data, indices, indptr), shape=(B * mx * my, B * nfx * nfy))
 
 
 def _pin(A: sp.csr_matrix) -> sp.csr_matrix:
@@ -788,19 +720,18 @@ class _BandFactor:
 class _Multigrid:
     """Symmetric V-cycle on levels A_0 (finest) ... A_L, used as M^{-1}.
 
-    One damped-Jacobi sweep before and one after each coarse correction,
-    restriction by the given R_l = P_l^T; the bottom level is factorized
+    One damped-Jacobi sweep, on the given `diagonals` of the levels above
+    the bottom, before and one after each coarse correction, restriction by
+    the given R_l = P_l^T; the bottom level is factorized
     outright (`_BandFactor`: band Cholesky when `symmetric`, band LU
     otherwise) in the dof numbering `order`, which the operator picks from
     the level's grid (`_band_order`).  Symmetric levels give a symmetric
     preconditioner.  A single level is a direct solve.
     """
 
-    def __init__(self, levels, symmetric: bool, prolongations=(), restrictions=(), order=None, diagonals=None):
+    def __init__(self, levels, symmetric: bool, prolongations=(), restrictions=(), order=None, diagonals=()):
         self.levels = levels
         self.P, self.R = prolongations, restrictions
-        if diagonals is None:
-            diagonals = [A.diagonal() for A in levels[:-1]]
         self.dinv = [_JACOBI_WEIGHT / d for d in diagonals]
         self.bottom = _BandFactor(levels[-1], symmetric, order)
 
@@ -839,22 +770,17 @@ class CorrectorOperator:
     them all.  A single grid is a batch of one; `grid` is that grid, and
     None on larger batches (`split` views a stacked vector per grid).
 
-    Every level of the hierarchy is a `_Level`: the stiffness as a stencil
-    table `stiffness` (B, tx, ty, 3, 3) on a tx x ty period torus, and the
-    mass `mass` = (w, mx, my), M = diag(w) (x) mx (x) my with 1-D tables on
-    the same torus: P1 masses of unit cells for Q1 (`from_field`),
-    identities for the lattice.  `levels` starts with the finest; the
-    coarse ones, Galerkin products of the tables, are built when a system
-    is first requested, with no sparse product.  `K` and `M` are the finest
-    level's matrices.  Also held: the loads b_i for xi = e_i (rhs for any xi
-    is xi . b) and the prolongations I_B (x) Px (x) Py with their
-    transposes, the restrictions.  A grid whose blocks are cheap to factor
-    (`BAND_ENTRIES`) has one level and no prolongation.  `A_q` is the
-    coefficient at the quadrature points, (B * ncells, 4, 2, 2), when the
-    operator was built from a field.  The operator keeps no shifted
-    matrices: each call of `systems` builds one shift's hierarchy, shared by
-    the systems it returns, on a band factorization of its bottom level
-    (Cholesky when the field is symmetric).
+    `levels` holds the hierarchy as `_Level`s, the finest built from the
+    table `stiffness` (B, tx, ty, 3, 3) and `mass` = (w, mx, my), M =
+    diag(w) (x) mx (x) my: P1 masses of unit cells for Q1 (`from_field`),
+    identities for the lattice; the coarse ones are built when a system is
+    first requested.  `K` and `M` are the finest level's matrices.  Also
+    held: the loads b_i for xi = e_i (rhs for any xi is xi . b), the
+    restrictions I_B (x) Px^T (x) Py^T and their transposes, and `A_q`, the
+    coefficient at the quadrature points (B * ncells, 4, 2, 2) when built
+    from a field.  Each call of `systems` builds one shift's hierarchy,
+    shared by the systems it returns, on a band factorization of its bottom
+    level (Cholesky when the field is symmetric).
     """
 
     def __init__(self, grids, bc, stiffness, mass, loads, symmetric, A_q=None):
@@ -878,15 +804,13 @@ class CorrectorOperator:
 
         When the field's period spans a whole number of cells (cx, cy) of
         every grid of the batch (`_cells_per_period`), A is evaluated only
-        on the first cx x cy cells of each grid.  Their cell stiffnesses and
-        loads are summed as a torus, the finest level's table, and every
-        free dof (i, j) takes the nine-point row and load of torus node
-        (i mod cx, j mod cy), every cell the A of its period cell.
-        Otherwise the period is the grid itself, and this gather reproduces
-        the direct sum bitwise.  Raises ValueError, naming the field and a
-        Gauss point, when A at a point evaluated is NaN or inf, is not
-        symmetric (to `np.isclose`) while the field is flagged symmetric, or
-        has a symmetric part that is not positive definite.
+        on the first cx x cy cells of each grid, whose cell stiffnesses and
+        loads, summed as a torus, give the finest level's table and every
+        free dof's load; otherwise the period is the grid itself, and this
+        reproduces the direct sum bitwise.  Raises ValueError, naming the
+        field and a Gauss point, where A is NaN or inf, is not symmetric (to
+        `np.isclose`) though the field is flagged so, or has a symmetric
+        part that is not positive definite.
         """
         grids = _batch(grids)
         B, nx, ny = len(grids), grids[0].nx, grids[0].ny
@@ -906,8 +830,7 @@ class CorrectorOperator:
 
     @property
     def M(self) -> sp.csr_matrix:
-        level = self.levels[0]
-        return level.matrix(level.M)
+        return self.levels[0].matrix(self.levels[0].M)
 
     def _hierarchy(self) -> list:
         """`levels`, once the coarse ones are built."""
@@ -965,7 +888,7 @@ class CorrectorOperator:
             raise ValueError("a batch of periodic grids needs a positive shift (no pinning)")
         tables = [(level, _shifted(level, inv_T)) for level in self._hierarchy()]
         levels = [level.matrix(table) for level, table in tables]
-        diagonals = [level.diagonal(table)[int(pinned):] for level, table in tables[:-1]]
+        diagonals = [table[..., 1, 1].ravel()[level.rows][int(pinned):] for level, table in tables[:-1]]
         R = self.restrictions
         if pinned:
             levels, R = ([_pin(A) for A in mats] for mats in (levels, R))
@@ -991,15 +914,14 @@ def _shifted(level: _Level, s: float) -> np.ndarray:
 
 def _check_coefficient(field: CoefficientField, A: np.ndarray, points: np.ndarray) -> None:
     """Raise ValueError at the first Gauss point where A (npoints, 2, 2) is not a valid coefficient."""
-    a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
-    checks = [(lambda: ~np.isfinite(A.reshape(-1, 4)).all(axis=1), "is NaN or inf")]
-    if field.is_symmetric:
-        checks.append((lambda: np.abs(b - c) > 1e-8 + 1e-5 * np.abs(c), "is flagged symmetric but A12 != A21"))
-    s = lambda: 0.5 * (b + c)
-    checks.append((lambda: ~((a * d - s() ** 2 > 0) & (a + d > 0)), "has a symmetric part that is not positive definite"))
-    for bad, what in checks:
-        bad = bad()
-        if bad.any():
+    a, b, c, d = A.reshape(-1, 4).T
+    checks = {
+        "is NaN or inf": lambda: ~np.isfinite(A.reshape(-1, 4)).all(axis=1),
+        "is flagged symmetric but A12 != A21": lambda: field.is_symmetric & (np.abs(b - c) > 1e-8 + 1e-5 * np.abs(c)),
+        "has a symmetric part that is not positive definite": lambda: ~((a * d > 0.25 * (b + c) ** 2) & (a + d > 0)),
+    }
+    for what, bad in checks.items():
+        if (bad := bad()).any():
             raise ValueError(f"field {field.name!r} {what} at the Gauss point {tuple(points[np.argmax(bad)])}")
 
 

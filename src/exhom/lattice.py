@@ -20,11 +20,12 @@ with the same exact cell value, via the closed form
 it a useful cross-check but useless for resonance-error sweeps.
 
 A box problem is a `CorrectorOperator` on the (S-1)^2 interior sites of an
-S-cell box: the five-point matrix K with identity mass, stored on K's
-pattern and given by the identity factors I (x) I for the coarse levels, so
-rung j of the dyadic ladder solves (K + I / (2^j T)) x = b_xi with the same
-multigrid preconditioned Krylov solver as the Q1 correctors (grid.py), and
-both directions of a tensor share one operator.  A box corrector is the
+S-cell box, built like the Q1 operators (grid.py) from a stencil table on
+one period, the 4 x 4 torus of the cell: the five-point K, kept on a
+five-point pattern, and the identity mass, 1-D identity tables.  Rung j of
+the dyadic ladder solves (K + I / (2^j T)) x = b_xi with the multigrid
+preconditioned Krylov solver, and both directions of a tensor share one
+operator.  A box corrector is the
 `CorrectorSolution` that `extrapolate` builds on the box's grid, the S x S
 unit cells of the box, whose nodal values are the site values (zero on the
 boundary).
@@ -219,9 +220,8 @@ def _edge_arrays(field: LatticeField, coords):
 def _lattice_operator(field: LatticeField, R: int) -> CorrectorOperator:
     """Five-point operator of the box of side R on its interior sites.
 
-    Its stiffness is a table on the 4-periodic torus of the conductivity
-    cell, which the box's grid tiles: grid node i sits at lattice coordinate
-    i - R/2, so torus row r holds the site at coordinate r - R/2 (mod 4).
+    Grid node i sits at lattice coordinate i - R/2, so node r of the table's
+    4 x 4 torus holds the site at coordinate r - R/2 (mod 4).
     """
     S, coords = _box_offsets(R)
     x = np.arange(P) - S // 2

@@ -109,6 +109,28 @@ def test_non_finite_coefficient_raises_naming_the_field(bad):
         CorrectorOperator.from_field(StructuredGrid.square(2.0, 32), field)
 
 
+def test_coefficient_flagged_symmetric_but_not_symmetric_raises():
+    # tiled on one period, where the check runs: before, A12 1.05 and A21 0.046 went through silently
+    mat2 = catalog("mat2")
+    field = dataclasses.replace(mat2, evaluate=lambda p: mat2.evaluate(p) + [[0.0, 1.0], [0.0, 0.0]], name="mat2-asym")
+    with pytest.raises(ValueError, match=r"mat2-asym.* flagged symmetric but A12 != A21 at the Gauss point \("):
+        CorrectorOperator.from_field(StructuredGrid.square(2.0, 32), field)
+
+
+@pytest.mark.parametrize("flip", [np.array([-1.0, -1.0]), np.array([1.0, -1.0])])  # negative trace, negative determinant
+def test_coefficient_without_positive_definite_symmetric_part_raises(flip):
+    mat4 = catalog("mat4")
+
+    def evaluate(points):
+        out = mat4.evaluate(points)
+        out[np.argmin(np.linalg.norm(points, axis=1))] *= flip[:, None]  # scale the rows at one Gauss point
+        return out
+
+    field = dataclasses.replace(mat4, evaluate=evaluate, name="mat4-indefinite")
+    with pytest.raises(ValueError, match=r"mat4-indefinite.* not positive definite at the Gauss point \("):
+        CorrectorOperator.from_field(StructuredGrid.square(2.0, 32, center=(0.3, 0.1)), field)
+
+
 def test_non_finite_load_block_raises_and_a_zero_block_solves_to_zero():
     grids = [StructuredGrid.from_box((x, x + 1.0, 0.0, 1.0), 8, 8) for x in (0.0, 0.3, 0.7)]
     op = CorrectorOperator.from_field(grids, catalog("mat2"))
