@@ -128,19 +128,20 @@ def solve_ladder(
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(helpers)
+    rhs = [op.rhs(xi) for xi in xis]  # the same on every rung
     try:
         for j in range(kmax):
-            _solve_rung(op, T * 2.0**j, xis, ladders, dual, rel_tol, pool)
+            _solve_rung(op, T * 2.0**j, xis, rhs, ladders, dual, rel_tol, pool)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     return ladders
 
 
-def _solve_rung(op, T, xis, ladders, dual, rel_tol, pool):
+def _solve_rung(op, T, xis, rhs, ladders, dual, rel_tol, pool):
     # a function of its own, so that this shift's hierarchy is freed before
     # the next one is built
-    systems = op.systems(0.0 if math.isinf(T) else 1.0 / T, [op.rhs(xi) for xi in xis])
+    systems = op.systems(0.0 if math.isinf(T) else 1.0 / T, rhs)
 
     def direction(i):
         x0 = ladders[i][-1].u.values if ladders[i] else None

@@ -42,15 +42,15 @@ is the Galerkin product P^T K P taken on the tables one axis at a time
 (`_galerkin_axis`), the coarse mass that of the 1-D mass tables: no sparse
 product is formed, and a periodic field's coarse tables stay one (halved)
 period.  The restrictions P^T are written from the 1-D prolongations.  Each
-level above the bottom smooths with damped Jacobi.  The bottom is factorized in LAPACK band storage, a band Cholesky
-(pbtrf) when the system is symmetric and a band LU (gbtrf) otherwise, its
-dofs numbered along the grid's longer axis so that the band is the shorter
-free extent of a block: no large grid is ever factorized whole.  A system
-without a hierarchy is a single level, factorized in its own numbering.  A
-batch halves alike in every block, so its prolongations are I_B (x) P and
-every level stays block-diagonal.  The solve of a batched system is
-equilibrated, so each block meets the tolerance relative to its own
-right-hand side (see `solve`).
+level above the bottom smooths with damped Jacobi.  The bottom is factorized
+in LAPACK band storage, a band Cholesky (pbtrf) when the system is symmetric
+and a band LU (gbtrf) otherwise, its dofs numbered along the grid's longer
+axis so that the band is the shorter free extent of a block: no large grid
+is ever factorized whole.  A system without a hierarchy is a single level,
+factorized in its own numbering.  A batch halves alike in every block, so
+its prolongations are I_B (x) P and every level stays block-diagonal.  The
+solve of a batched system is equilibrated, so each block meets the
+tolerance relative to its own right-hand side (see `solve`).
 
 A periodic system without shift is singular (constants solve it); `solve`
 pins its first free dof to zero internally and still returns every free
@@ -608,7 +608,7 @@ def _prolongation_1d(n: int, bc: str) -> sp.csr_matrix:
 def _hierarchy(nx: int, ny: int, bc: str) -> tuple:
     """Cell counts of the halving hierarchy, finest first, and its 1-D prolongations (Px, Py)."""
     shapes, prolongations = [(nx, ny)], []
-    while min(nx, ny) >= 4 and math.prod(_free_extents(nx, ny, bc)) * min(_free_extents(nx, ny, bc)) > BAND_ENTRIES:
+    while min(nx, ny) >= 4 and math.prod(e := _free_extents(nx, ny, bc)) * min(e) > BAND_ENTRIES:
         px = _prolongation_1d(nx, bc)
         prolongations.append((px, px if ny == nx else _prolongation_1d(ny, bc)))
         nx, ny = (nx + 1) // 2, (ny + 1) // 2
