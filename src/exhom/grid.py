@@ -720,12 +720,12 @@ class _BandFactor:
 class _Multigrid:
     """Symmetric V-cycle on levels A_0 (finest) ... A_L, used as M^{-1}.
 
-    One damped-Jacobi sweep, on the given `diagonals` of the levels above
-    the bottom, before and one after each coarse correction, restriction by
-    the given R_l = P_l^T; the bottom level is factorized
-    outright (`_BandFactor`: band Cholesky when `symmetric`, band LU
-    otherwise) in the dof numbering `order`, which the operator picks from
-    the level's grid (`_band_order`).  Symmetric levels give a symmetric
+    One damped-Jacobi sweep (on the given `diagonals` of the levels above
+    the bottom) before and one after each coarse correction, restriction by
+    the given R_l = P_l^T; the bottom level is factorized outright
+    (`_BandFactor`: band Cholesky when `symmetric`, band LU otherwise) in
+    the dof numbering `order`, which the operator picks from the level's
+    grid (`_band_order`).  Symmetric levels give a symmetric
     preconditioner.  A single level is a direct solve.
     """
 
@@ -796,7 +796,7 @@ class CorrectorOperator:
         B = len(self.grids)
         self.shapes, prolongations_1d = _hierarchy(nx, ny, bc)
         self.restrictions = [_restriction(px, py, B) for px, py in prolongations_1d]
-        self.prolongations = [R.T for R in self.restrictions]  # CSC, whose product is the faster one here
+        self.prolongations = [R.T for R in self.restrictions]  # CSC views, whose product beats CSR's here
 
     @classmethod
     def from_field(cls, grids, field: CoefficientField, bc: str = "dirichlet0"):
@@ -832,7 +832,7 @@ class CorrectorOperator:
     def M(self) -> sp.csr_matrix:
         return self.levels[0].matrix(self.levels[0].M)
 
-    def _hierarchy(self) -> list:
+    def _all_levels(self) -> list:
         """`levels`, once the coarse ones are built."""
         while len(self.levels) < len(self.shapes):
             self.levels.append(self.levels[-1].coarse())
@@ -848,7 +848,7 @@ class CorrectorOperator:
             return self
         t = copy.copy(self)
         t.A_q = np.swapaxes(self.A_q, -1, -2)
-        t.levels = [level.transposed() for level in self._hierarchy()]
+        t.levels = [level.transposed() for level in self._all_levels()]
         (cx, cy), B = self._cells, len(self.grids)
         A_p = t.A_q.reshape(B, self.grids[0].nx, self.grids[0].ny, 4, 2, 2)[:, :cx, :cy]
         t.loads = _tiled_loads(self.grids, self.bc, self._cells, A_p.reshape(-1, 4, 2, 2))
@@ -886,7 +886,7 @@ class CorrectorOperator:
         pinned = self.bc == "periodic" and inv_T == 0.0
         if pinned and self.grid is None:
             raise ValueError("a batch of periodic grids needs a positive shift (no pinning)")
-        tables = [(level, _shifted(level, inv_T)) for level in self._hierarchy()]
+        tables = [(level, _shifted(level, inv_T)) for level in self._all_levels()]
         levels = [level.matrix(table) for level, table in tables]
         diagonals = [table[..., 1, 1].ravel()[level.rows][int(pinned):] for level, table in tables[:-1]]
         R = self.restrictions
