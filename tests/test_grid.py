@@ -117,7 +117,8 @@ def test_coefficient_flagged_symmetric_but_not_symmetric_raises():
         CorrectorOperator.from_field(StructuredGrid.square(2.0, 32), field)
 
 
-@pytest.mark.parametrize("flip", [np.array([-1.0, -1.0]), np.array([1.0, -1.0])])  # negative trace, negative determinant
+# row signs at one Gauss point: a negative trace, then a negative determinant
+@pytest.mark.parametrize("flip", [np.array([-1.0, -1.0]), np.array([1.0, -1.0])])
 def test_coefficient_without_positive_definite_symmetric_part_raises(flip):
     mat4 = catalog("mat4")
 

@@ -575,9 +575,11 @@ def _level_matrices(op):
         lambda: CorrectorOperator.from_field(_batch_of_patches(192, 120), catalog("mat4")),
         lambda: _lattice_operator(default_pattern(), 128),
         # tiled on a 16-cell period, Dirichlet: 106 cells halve to 53, then (odd) to 27
-        lambda: CorrectorOperator.from_field(StructuredGrid.from_box((0.3, 6.925, -0.4, 6.225), 106, 106), catalog("mat2")),
+        lambda: CorrectorOperator.from_field(StructuredGrid.from_box((0.3, 6.925, -0.4, 6.225), 106, 106),
+                                             catalog("mat2")),
         # a period of 9 cells, odd: on a Dirichlet grid, and on a periodic one halving 126 -> 63 -> 32
-        lambda: CorrectorOperator.from_field(StructuredGrid.from_box((0.3, 16.3, -0.4, 15.6), 144, 144), catalog("mat4")),
+        lambda: CorrectorOperator.from_field(StructuredGrid.from_box((0.3, 16.3, -0.4, 15.6), 144, 144),
+                                             catalog("mat4")),
         lambda: CorrectorOperator.from_field(StructuredGrid.from_box((0.1, 14.1, 0.2, 14.2), 126, 126), catalog("mat4"),
                                              "periodic"),
     ],
