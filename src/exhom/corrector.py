@@ -286,7 +286,8 @@ def psi_identity_check(T: float, k: int, lambdas) -> float:
     """
     Tq, worst = Fraction(T), 0.0
     for lam in map(Fraction, np.atleast_1d(lambdas).astype(float)):
-        rhs = 1 / (Fraction(2) ** (k * (k - 1) // 2) * Tq**k * lam * math.prod(1 / (Tq * 2**i) + lam for i in range(k)))
+        prod = math.prod(1 / (Tq * 2**i) + lam for i in range(k))
+        rhs = 1 / (Fraction(2) ** (k * (k - 1) // 2) * Tq**k * lam * prod)
         worst = max(worst, float(abs(1 / lam - psi_value(Tq, k, lam) - rhs) / abs(rhs)))
     return worst
 

@@ -25,10 +25,9 @@ one period, the 4 x 4 torus of the cell: the five-point K, kept on a
 five-point pattern, and the identity mass, 1-D identity tables.  Rung j of
 the dyadic ladder solves (K + I / (2^j T)) x = b_xi with the multigrid
 preconditioned Krylov solver, and both directions of a tensor share one
-operator.  A box corrector is the
-`CorrectorSolution` that `extrapolate` builds on the box's grid, the S x S
-unit cells of the box, whose nodal values are the site values (zero on the
-boundary).
+operator.  A box corrector is the `CorrectorSolution` that `extrapolate`
+builds on the box's grid, the S x S unit cells of the box, whose nodal
+values are the site values (zero on the boundary).
 """
 
 from __future__ import annotations
