@@ -16,12 +16,11 @@ from .averaging import (
     Filter,
     HomTensor,
     build_filter,
-    filtered_average,
     hom_tensor_prime,
     hom_tensor_projected,
     solve_corrector_bundle,
 )
-from .coeffs import CoefficientField, catalog, constant, ellipticity_scan, laminate
+from .coeffs import CoefficientField, catalog, constant, laminate
 from .corrector import (
     CorrectorSolution,
     corrector_error,
@@ -47,7 +46,6 @@ from .lattice import (
     LatticeField,
     default_pattern,
     exact_cell_hom,
-    lattice_corrector,
     lattice_hom,
     weave_pattern,
 )

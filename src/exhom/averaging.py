@@ -13,7 +13,7 @@ and the projected variant subtracts the mu_L-mean from each gradient first,
 which makes the result uniformly coercive for symmetric fields.  Quadrature
 collocates with the corrector grid's Gauss points and is restricted to the
 filter's window: mu_L vanishes outside Q_L, so every average visits only
-the block of cells that meets Q_L (`Filter.window`; with L = R/3 it is a
+the block of cells that meets Q_L (`Filter.windows`; with L = R/3 it is a
 ninth of the box).  Every average is normalized by the quadrature mass of
 mu_L (required anyway when the window is clipped by a domain boundary, as
 in the multiscale solver).
@@ -34,7 +34,6 @@ from .grid import CorrectorOperator, StructuredGrid, _gradients
 __all__ = [
     "Filter",
     "build_filter",
-    "filtered_average",
     "HomTensor",
     "CorrectorBundle",
     "solve_corrector_bundle",
@@ -137,23 +136,16 @@ class Filter:
         w = self.profile((pts[:, 0] - center[0]) / L) * self.profile((pts[:, 1] - center[1]) / L)
         return w / L**2
 
-    def window(self, grid: StructuredGrid, L: float, center) -> tuple:
-        """The filter's window on the grid: (cells, weights).
+    def windows(self, grids, L: float, centers) -> list:
+        """The filter's window, (cells, weights), on each of several grids of one shape.
 
-        `cells` is a pair of slices, the contiguous cell ranges along x and
-        y whose Gauss abscissae meet the support of mu_L(. - center);
+        On grid b, around `centers[b]`, `cells` is a pair of slices: the cell
+        ranges along x and y whose Gauss abscissae meet the support of mu_L;
         mu_L is zero at every Gauss point outside that block.  `weights` is
         `weights_nd` at the block's Gauss points, bitwise equal, ordered like
         `gradient_field(u, cells)`: the profile is evaluated once per axis
-        abscissa and the weights are their outer product, with the same
-        arithmetic as `weights_nd`.
-        """
-        return self.windows([grid], L, [center])[0]
-
-    def windows(self, grids, L: float, centers) -> list:
-        """`window` on each of several grids of one shape, each around its own center.
-
-        The profile is evaluated in one call over every grid's abscissae.
+        abscissa, in one call over every grid, and the weights are their
+        outer product, with the same arithmetic as `weights_nd`.
         """
         c = np.asarray(centers, dtype=float)
         axes = [g.quad_axes() for g in grids]
@@ -195,36 +187,6 @@ def build_filter(p) -> Filter:
         mass += 0.5 * (b - a) * float(_WEIGHTS @ shape(0.5 * (b - a) * _NODES + 0.5 * (a + b)))
     kappa = 1.0 / mass
     return Filter(order=p, kappa=kappa, _shape=shape)
-
-
-def filtered_average(
-    grid: StructuredGrid,
-    values: np.ndarray,
-    filt: Filter,
-    L: float,
-    center=None,
-) -> float:
-    """Filtered average of per-quadrature-point samples against mu_L.
-
-    `values` holds one sample per Gauss point of `grid` (the collocated
-    quadrature of the corrector solves).  The average divides by the
-    quadrature mass of mu_L over the grid, which both preserves constants
-    exactly and implements the clipped-window normalization used by the
-    multiscale solver when Q_L sticks out of the computational domain.
-    """
-    _check_L(L)
-    if center is None:
-        center = grid.center
-    half_x = 0.5 * grid.nx * grid.hx
-    if L > half_x + 1e-12 or L > 0.5 * grid.ny * grid.hy + 1e-12:
-        raise ValueError(f"averaging window L={L} exceeds the grid half-width")
-    cells, w = filt.window(grid, L, center)
-    w *= grid.quad_weight()
-    mass = float(w.sum())
-    if mass <= 0.0:
-        raise ValueError("filter mass vanishes on the grid (window too small?)")
-    values = np.asarray(values).reshape(grid.nx, grid.ny, 4)[cells].ravel()
-    return float(np.dot(w, values)) / mass
 
 
 @dataclass

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -92,6 +93,22 @@ def _parse_xi(s):
     return v / norm
 
 
+def _window_fraction(s):
+    """The inner window's share of the box half-width: a number in (0, 1]."""
+    v = _positive(s)
+    if v > 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], got {s!r}")
+    return v
+
+
+def _filter_order(s):
+    """A filter order that `build_filter` accepts: 0, 1, 2, 3, 4 or inf."""
+    try:
+        return build_filter(s).order
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a filter order 0..4 or inf, got {s!r}") from None
+
+
 def cmd_corrector(args):
     field = catalog(args.field)
     grid = StructuredGrid.square(args.R, args.n)
@@ -101,8 +118,11 @@ def cmd_corrector(args):
     print(f"corrector: field={args.field} R={args.R} n={args.n} T={T:g} k={args.k}")
     print(f"  mean |grad phi|^2 on the box: {np.mean(np.sum(g * g, axis=1)):.6e}")
     if field.period is not None and args.window:
-        cell = periodic_cell(field, max(args.n // int(2 * args.R), 32))
-        err = corrector_error(sol, cell.correctors[0 if abs(sol.xi[0]) > 0.5 else 1], window=args.window)
+        cell = periodic_cell(field, max(round(args.n / (2 * args.R)), 32))
+        # the cell corrector of xi is xi_1 phi_1 + xi_2 phi_2
+        phi = cell.dual_correctors if args.dual else cell.correctors
+        ref = SimpleNamespace(gradient_at=lambda x: sum(c * p.gradient_at(x) for c, p in zip(sol.xi, phi)))
+        err = corrector_error(sol, ref, window=args.window)
         print(f"  window f={args.window}: fint |grad(phi - phi_cell)|^2 = {err:.6e}")
     if args.csv:
         np.savetxt(args.csv, np.column_stack([grid.quad_points(), g]), delimiter=",",
@@ -133,7 +153,7 @@ def cmd_homogenize(args):
 
 def cmd_reference(args):
     field = catalog(args.field)
-    if args.field.startswith("laminate") and field.profile is not None:
+    if field.profile is not None:
         oracle = laminate_oracle(field.profile)
         print(f"laminate oracle: diag({oracle[0,0]:.12f}, {oracle[1,1]:.12f})")
     res = periodic_cell(field, args.n)
@@ -271,7 +291,7 @@ def main(argv=None):
     c.add_argument("--k", type=_positive_int, default=1)
     c.add_argument("--xi", type=_parse_xi, default="1,0", help="direction 'x1,x2' (normalized)")
     c.add_argument("--dual", action="store_true")
-    c.add_argument("--window", type=float, default=None, help="inner window fraction for the error")
+    c.add_argument("--window", type=_window_fraction, default=None, help="inner window fraction for the error")
     c.add_argument("--csv", default=None)
     c.set_defaults(func=cmd_corrector)
 
@@ -282,7 +302,7 @@ def main(argv=None):
     hcmd.add_argument("--T", type=_parse_T, default="auto", help="'auto' (= R/100), 'inf', or a number")
     hcmd.add_argument("--k", type=_positive_int, default=1)
     hcmd.add_argument("--L", type=_positive, default=None)
-    hcmd.add_argument("--p", default="3")
+    hcmd.add_argument("--p", type=_filter_order, default="3")
     hcmd.add_argument("--variant", choices=("prime", "projected"), default="projected")
     hcmd.add_argument("--csv", default=None)
     hcmd.set_defaults(func=cmd_homogenize)
@@ -296,7 +316,7 @@ def main(argv=None):
     lat.add_argument("--R", type=_lattice_side, default=40, help="box side in lattice units")
     lat.add_argument("--T", type=_parse_T, default="auto", help="'auto' (= R/10), 'inf', or a number")
     lat.add_argument("--k", type=_positive_int, default=1)
-    lat.add_argument("--p", default="inf")
+    lat.add_argument("--p", type=_filter_order, default="inf")
     lat.add_argument("--pattern-file", default=None)
     lat.set_defaults(func=cmd_lattice)
 

@@ -1,11 +1,13 @@
 """Coefficient fields: the 2x2 uniformly elliptic conductivity maps A(x).
 
 A field is a pure function from points in R^2 to 2x2 matrices, carried by a
-:class:`CoefficientField` together with symmetry/periodicity metadata and
-ellipticity hints.  The built-in catalog covers the benchmark fields used
-throughout the package: a symmetric periodic field (``mat2``), a symmetric
-almost-periodic field of Kozlov type (``mat3``), their non-symmetric
-counterparts (``mat4``, ``mat5``), constants, and laminates.
+:class:`CoefficientField` together with symmetry and periodicity metadata;
+the Q1 assembly checks its ellipticity at every Gauss point it evaluates
+(`grid.CorrectorOperator.from_field`).  The built-in catalog covers the
+benchmark fields used throughout the package: a symmetric periodic field
+(``mat2``), a symmetric almost-periodic field of Kozlov type (``mat3``),
+their non-symmetric counterparts (``mat4``, ``mat5``), constants, and
+laminates.
 
 Evaluation is vectorized: ``field(points)`` with ``points`` of shape (n, 2)
 returns an (n, 2, 2) array.  Fields carry no mutable state and are safe to
@@ -27,7 +29,6 @@ __all__ = [
     "catalog",
     "constant",
     "laminate",
-    "ellipticity_scan",
 ]
 
 
@@ -47,8 +48,6 @@ class CoefficientField:
         and tiles it (`grid.CorrectorOperator.from_field`), and the HMM
         solves one patch per translation class, so a wrong period gives a
         wrong operator and wrong classes without any error.
-    alpha_hint, beta_hint : float
-        Lower/upper ellipticity hints (refined by `ellipticity_scan`).
     name : str
         Catalog identifier, echoed in study records.
     """
@@ -56,8 +55,6 @@ class CoefficientField:
     evaluate: Callable[[np.ndarray], np.ndarray]
     is_symmetric: bool
     period: Optional[np.ndarray]
-    alpha_hint: float
-    beta_hint: float
     name: str = "field"
     profile: Optional[Callable[[np.ndarray], np.ndarray]] = dc_field(
         default=None, repr=False
@@ -79,8 +76,6 @@ class CoefficientField:
             evaluate=evaluate_t,
             is_symmetric=False,
             period=self.period,
-            alpha_hint=self.alpha_hint,
-            beta_hint=self.beta_hint,
             name=self.name + "^T",
             profile=self.profile,
         )
@@ -126,10 +121,8 @@ def constant(value) -> CoefficientField:
     if mat.shape != (2, 2):
         raise ValueError("constant field takes a scalar or a 2x2 matrix")
     sym = bool(np.allclose(mat, mat.T))
-    eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    if eigs[0] <= 0.0:
+    if np.linalg.eigvalsh(0.5 * (mat + mat.T))[0] <= 0.0:
         raise ValueError("constant field must have positive-definite symmetric part")
-    beta = float(np.linalg.norm(mat, 2))
 
     def evaluate(points):
         points = np.atleast_2d(points)
@@ -139,8 +132,6 @@ def constant(value) -> CoefficientField:
         evaluate=evaluate,
         is_symmetric=sym,
         period=np.array([1.0, 1.0]),
-        alpha_hint=float(eigs[0]),
-        beta_hint=beta,
         name=f"constant:{mat[0, 0]:g}" if np.allclose(mat, mat[0, 0] * np.eye(2)) else "constant",
     )
 
@@ -154,15 +145,12 @@ def laminate(profile: Callable[[np.ndarray], np.ndarray], name: str = "laminate"
         return _broadcast_iso(a)
 
     xs = np.linspace(0.0, 1.0, 2048, endpoint=False)
-    vals = np.asarray(profile(xs), dtype=float)
-    if np.any(vals <= 0.0):
+    if np.any(np.asarray(profile(xs), dtype=float) <= 0.0):
         raise ValueError("laminate profile must be positive")
     return CoefficientField(
         evaluate=evaluate,
         is_symmetric=True,
         period=np.array([1.0, 1.0]),
-        alpha_hint=float(vals.min()),
-        beta_hint=float(vals.max()),
         name=name,
         profile=profile,
     )
@@ -177,15 +165,12 @@ def _mat2() -> CoefficientField:
         points = np.atleast_2d(points)
         return _broadcast_iso(_mat2_scalar(points[..., 0], points[..., 1]))
 
-    f = CoefficientField(
+    return CoefficientField(
         evaluate=evaluate,
         is_symmetric=True,
         period=np.array([1.0, 1.0]),
-        alpha_hint=0.19,
-        beta_hint=20.9,
         name="mat2",
     )
-    return _refine_hints(f)
 
 
 def _mat3() -> CoefficientField:
@@ -201,8 +186,6 @@ def _mat3() -> CoefficientField:
         evaluate=evaluate,
         is_symmetric=True,
         period=None,
-        alpha_hint=2.0,
-        beta_hint=8.0,
         name="mat3",
     )
 
@@ -222,15 +205,12 @@ def _mat4() -> CoefficientField:
         out[..., 1, 0] = -2.0 + q
         return out
 
-    f = CoefficientField(
+    return CoefficientField(
         evaluate=evaluate,
         is_symmetric=False,
         period=np.array([1.0, 1.0]),
-        alpha_hint=0.13,
-        beta_hint=21.0,
         name="mat4",
     )
-    return _refine_hints(f)
 
 
 def _mat5() -> CoefficientField:
@@ -250,80 +230,27 @@ def _mat5() -> CoefficientField:
         evaluate=evaluate,
         is_symmetric=False,
         period=None,
-        alpha_hint=1.7,
-        beta_hint=8.7,
         name="mat5",
     )
-
-
-def _refine_hints(f: CoefficientField, n: int = 128) -> CoefficientField:
-    alpha, beta = ellipticity_scan(f, (0.0, 1.0, 0.0, 1.0), n)
-    object.__setattr__(f, "alpha_hint", alpha)
-    object.__setattr__(f, "beta_hint", beta)
-    return f
 
 
 def catalog(name: str) -> CoefficientField:
     """Look up a field by catalog identifier.
 
     Accepted names: ``mat2``, ``mat3``, ``mat4``, ``mat5``, ``laminate``
-    (profile 2 + sin(2 pi x1)), and ``constant:<c>`` with an inline scalar.
+    (profile 2 + sin(2 pi x1)), ``constant`` (the identity), and
+    ``constant:<c>`` with an inline scalar; anything else is a ValueError.
     """
     key = name.strip()
-    if key.startswith("constant"):
-        parts = key.split(":")
-        c = float(parts[1]) if len(parts) > 1 else 1.0
-        return constant(c)
-    if key.startswith("laminate"):
-        return laminate(_default_laminate_profile)
-    makers = {"mat2": _mat2, "mat3": _mat3, "mat4": _mat4, "mat5": _mat5}
+    if key.startswith("constant:"):
+        try:
+            c = float(key[len("constant:") :])
+        except ValueError:
+            pass
+        else:
+            return constant(c)
+    makers = {"mat2": _mat2, "mat3": _mat3, "mat4": _mat4, "mat5": _mat5,
+              "laminate": lambda: laminate(_default_laminate_profile), "constant": lambda: constant(1.0)}
     if key not in makers:
-        raise ValueError(
-            f"unknown field {name!r}; expected mat2..mat5, laminate, or constant:<c>"
-        )
+        raise ValueError(f"unknown field {name!r}; expected mat2..mat5, laminate, or constant:<c>")
     return makers[key]()
-
-
-def ellipticity_scan(field: CoefficientField, box, n: int):
-    """Observed ellipticity constants over an n x n sample grid.
-
-    Parameters
-    ----------
-    box : (x0, x1, y0, y1)
-        Axis-aligned scan rectangle.
-    n : int
-        Samples per dimension, n >= 2.
-
-    Returns
-    -------
-    (alpha_obs, beta_obs)
-        Minimum eigenvalue of the symmetric part and maximum operator
-        (spectral) norm over the grid.
-    """
-    if n < 2:
-        raise ValueError("need at least 2 samples per dimension")
-    x0, x1, y0, y1 = box
-    xs = np.linspace(x0, x1, n)
-    ys = np.linspace(y0, y1, n)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-    A = field(pts)
-    if not np.all(np.isfinite(A)):
-        bad = np.argwhere(~np.isfinite(A).all(axis=(-1, -2)))[0][0]
-        raise FloatingPointError(
-            f"non-finite coefficient at sample point {tuple(pts[bad])}"
-        )
-    sym = 0.5 * (A + np.swapaxes(A, -1, -2))
-    # eigenvalues of 2x2 symmetric matrices, closed form
-    tr = sym[..., 0, 0] + sym[..., 1, 1]
-    disc = np.sqrt(
-        0.25 * (sym[..., 0, 0] - sym[..., 1, 1]) ** 2 + sym[..., 0, 1] ** 2
-    )
-    alpha_obs = float((0.5 * tr - disc).min())
-    beta_obs = float(np.sqrt(np.linalg.norm(A, 2, axis=(-2, -1)) ** 2).max())
-    if not (0.0 < alpha_obs <= beta_obs):
-        raise ValueError(
-            f"field {field.name!r} is not uniformly elliptic on the scan grid: "
-            f"alpha_obs={alpha_obs:.4g}, beta_obs={beta_obs:.4g}"
-        )
-    return alpha_obs, beta_obs

@@ -194,14 +194,6 @@ class StructuredGrid:
         ys = self.y0 + self.hy * np.arange(self.ny + 1)
         return xs, ys
 
-    def free_dofs(self, bc: str) -> np.ndarray:
-        """Indices of unconstrained dofs within the bc's node numbering."""
-        if bc == "periodic":
-            return np.arange(self.nx * self.ny)
-        nyy = self.ny + 1
-        I, J = np.meshgrid(np.arange(1, self.nx), np.arange(1, self.ny), indexing="ij")
-        return (I * nyy + J).ravel()
-
     def quad_axes(self):
         """Gauss abscissae per axis: (nx, 2) and (ny, 2) arrays, [cell, -/+]."""
         g = GAUSS_POINTS[[0, 3], 0]

@@ -58,7 +58,6 @@ __all__ = [
     "LocalTensorMap",
     "NumericalCorrectorSet",
     "scaled_field",
-    "local_tensor",
     "build_tensor_map",
     "coarse_solve",
     "P1Function",
@@ -107,8 +106,6 @@ def scaled_field(field: CoefficientField, eps: float) -> CoefficientField:
         evaluate=evaluate,
         is_symmetric=field.is_symmetric,
         period=period,
-        alpha_hint=field.alpha_hint,
-        beta_hint=field.beta_hint,
         name=f"{field.name}@eps={eps:g}",
         profile=field.profile,
     )
@@ -169,11 +166,6 @@ class CoarseMesh:
         d1 = p[:, 1] - p[:, 0]
         d2 = p[:, 2] - p[:, 0]
         return 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-    def diameters(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        e = [p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]]
-        return np.max([np.linalg.norm(v, axis=1) for v in e], axis=0)
 
     def basis_gradients(self):
         """(Nt, 3, 2) gradients of the barycentric basis functions."""
@@ -268,28 +260,6 @@ def _patch_grid(center, half_width: float, extent, h: float) -> StructuredGrid:
     if (x1 - x0) < 2 * h or (y1 - y0) < 2 * h:
         raise ValueError("oversampling patch smaller than two fine cells")
     return StructuredGrid.from_box((x0, x1, y0, y1), nx, ny)
-
-
-def local_tensor(
-    centroid,
-    field_eps: CoefficientField,
-    eps: float,
-    H: float,
-    T: float,
-    k: int,
-    delta: float,
-    h: float,
-    filt: Filter,
-    extent=(1.0, 1.0),
-    rel_tol: float = 1e-8,
-) -> np.ndarray:
-    """Projected filtered tensor of one oversampled patch problem.
-
-    Zero-order coefficient (T eps^2)^{-1}; averaging window of half-width
-    H/2 centered at the element centroid, clipped-mass normalized.
-    """
-    grid = _patch_grid(centroid, 0.5 * delta * H, extent, h)
-    return _patch_tensors([grid], [centroid], field_eps, T * eps * eps, k, H, filt, rel_tol)[0]
 
 
 def _translation_classes(grids, field_eps: CoefficientField, centers=None) -> tuple:

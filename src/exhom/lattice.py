@@ -50,7 +50,6 @@ __all__ = [
     "weave_pattern",
     "exact_cell_hom",
     "exact_cell_hom_rational",
-    "lattice_corrector",
     "lattice_energy_identity",
     "lattice_hom",
 ]
@@ -240,24 +239,6 @@ def _lattice_operator(field: LatticeField, R: int) -> CorrectorOperator:
 def _box_correctors(field: LatticeField, R: int, T: float, k: int, xis, rel_tol: float) -> list:
     """Extrapolated correctors for each xi, sharing one box operator."""
     return [extrapolate(lad) for lad in solve_ladder(_lattice_operator(field, R), T, k, xis, rel_tol=rel_tol)]
-
-
-def lattice_corrector(
-    field: LatticeField,
-    R: int,
-    T: float,
-    k: int = 1,
-    xi=(1.0, 0.0),
-    rel_tol: float = 1e-12,
-) -> CorrectorSolution:
-    """Solve (and dyadically extrapolate) the discrete box corrector.
-
-    R is the box side in lattice units (R/4 periodic cells per dimension);
-    homogeneous Dirichlet values on the box boundary; T = inf gives the
-    naive problem, finite T adds the zero-order term with the dyadic ladder
-    T, 2T, ..., 2^{k-1} T feeding the Richardson combiner.
-    """
-    return _box_correctors(field, R, T, k, [xi], rel_tol)[0]
 
 
 def lattice_energy_identity(field: LatticeField, corr: CorrectorSolution) -> float:

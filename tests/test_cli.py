@@ -1,9 +1,16 @@
 import argparse
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from exhom.cli import _parse_xi, main
+import exhom.lattice
+from exhom.cli import _filter_order, _parse_xi, main
+from exhom.coeffs import catalog
+from exhom.corrector import corrector_error, corrector_ladder, extrapolate
+from exhom.grid import CorrectorOperator, StructuredGrid
+from exhom.reference import periodic_cell
 
 
 def test_parse_xi_normalizes():
@@ -201,3 +208,47 @@ def test_study_hmm_preset_records_three_H_and_fits_a_slope(tmp_path, capsys):
     errors = [float(r[9]) for r in rows]
     assert errors == sorted(errors, reverse=True)
     assert "mat2-hmm   k1             slope" in capsys.readouterr().out
+
+
+def test_corrector_window_runs_below_half_a_cell(capsys):
+    # --R 0.4 used to end in a ZeroDivisionError from n // int(2 R)
+    assert main(["corrector", "--field", "mat2", "--R", "0.4", "--n", "8", "--window", "0.5"]) == 0
+    out = capsys.readouterr().out
+    assert "window f=0.5" in out and "nan" not in out
+
+
+def test_corrector_window_compares_an_oblique_xi_with_the_combined_cell_corrector(capsys):
+    # the reference used to be the e2 cell corrector alone: 4.84e-1 against 1.17e-2
+    assert main(["corrector", "--field", "mat2", "--R", "2", "--n", "64", "--k", "2", "--window", "0.5",
+                 "--xi", "0.6,0.8"]) == 0
+    printed = float(capsys.readouterr().out.rsplit("=", 1)[1])
+    field, xi = catalog("mat2"), np.array([0.6, 0.8])
+    sol = extrapolate(corrector_ladder(StructuredGrid.square(2.0, 64), field, 0.02, 2, xi))
+    phi = periodic_cell(field, 32).correctors
+    ref = SimpleNamespace(gradient_at=lambda x: xi[0] * phi[0].gradient_at(x) + xi[1] * phi[1].gradient_at(x))
+    assert printed == pytest.approx(corrector_error(sol, ref, window=0.5), rel=1e-6)
+    assert printed < 0.02
+
+
+@pytest.mark.parametrize("cmd, flag, value", [
+    *[(["homogenize", "--field", "mat2", "--R", "1", "--n", "8"], "--p", v) for v in ("x", "7", "3.5", "-1", "")],
+    *[(["lattice", "--R", "16"], "--p", v) for v in ("x", "7", "nan")],
+    *[(["corrector", "--field", "mat2", "--R", "1", "--n", "8"], "--window", v)
+      for v in ("nan", "0", "-0.5", "1.5", "inf", "soon")],
+])
+def test_p_and_window_are_checked_before_any_solve(capsys, monkeypatch, cmd, flag, value):
+    # --p x and --p 7 used to end in tracebacks, --window nan after the box
+    # solve, and --window 0 skipped the error line
+    def no_solve(*args, **kwargs):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(CorrectorOperator, "from_field", no_solve)
+    monkeypatch.setattr(exhom.lattice, "_lattice_operator", no_solve)
+    with pytest.raises(SystemExit) as exc:
+        main([*cmd, flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_filter_orders_accepted_by_the_cli():
+    assert [_filter_order(s) for s in ("0", "4", "inf", "oo")] == [0, 4, math.inf, math.inf]

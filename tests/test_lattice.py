@@ -12,11 +12,15 @@ from exhom.lattice import (
     default_pattern,
     exact_cell_hom,
     exact_cell_hom_rational,
-    lattice_corrector,
     lattice_energy_identity,
     lattice_hom,
     weave_pattern,
 )
+
+
+def lattice_corrector(field, R, T, k=1, xi=(1.0, 0.0), rel_tol=1e-12):
+    """The extrapolated box corrector of one direction."""
+    return _box_correctors(field, R, T, k, [xi], rel_tol)[0]
 
 
 def test_default_pattern_is_binary_and_periodic():
