@@ -50,6 +50,6 @@ from .lattice import (
     weave_pattern,
 )
 from .reference import CellProblemResult, laminate_oracle, periodic_cell
-from .study import SlopeFit, StudyRecord, fit_slope, write_csv
+from .study import SlopeFit, StudyRecord, fit_slope, policy, run_study, write_csv
 
 __version__ = "0.1.0"

@@ -13,10 +13,10 @@ and the projected variant subtracts the mu_L-mean from each gradient first,
 which makes the result uniformly coercive for symmetric fields.  Quadrature
 collocates with the corrector grid's Gauss points and is restricted to the
 filter's window: mu_L vanishes outside Q_L, so every average visits only
-the block of cells that meets Q_L (`Filter.windows`; with L = R/3 it is a
-ninth of the box).  Every average is normalized by the quadrature mass of
-mu_L (required anyway when the window is clipped by a domain boundary, as
-in the multiscale solver).
+the block of cells that meets Q_L (`Filter.windows`; with L a third of the
+box half-width, as the studies take it, that is a ninth of the box).  Every
+average is normalized by the quadrature mass of mu_L (required anyway when
+the window is clipped by a domain boundary, as in the multiscale solver).
 """
 
 from __future__ import annotations

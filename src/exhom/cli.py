@@ -12,27 +12,19 @@ import csv
 import math
 import os
 import sys
-import time
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import study
 from .averaging import build_filter, hom_tensor_prime, hom_tensor_projected
-from .coeffs import catalog, constant
+from .coeffs import catalog
 from .corrector import corrector_error, corrector_ladder, extrapolate
 from .grid import StructuredGrid, gradient_field
-from .hmm import (
-    fine_reference,
-    h1_distance,
-    hmm_solve,
-    numerical_corrector,
-    reconstructed_gradient,
-    scaled_field,
-)
+from .hmm import fine_reference, hmm_solve, numerical_corrector, reconstructed_gradient, scaled_field
 from .lattice import LatticeField, default_pattern, exact_cell_hom, lattice_hom
 from .reference import laminate_oracle, periodic_cell
-from .study import fit_slope, write_csv, write_gnuplot
+from .study import fit_slope, policy, write_csv, write_gnuplot
 
 
 def _positive(s, finite=True):
@@ -54,6 +46,11 @@ def _parse_T(s):
 def _parse_h(s):
     """None for 'auto' (the subcommand's default policy), else a positive finite number."""
     return None if s == "auto" else _positive(s)
+
+
+def _auto(kind, key, alternatives=", 'inf', or a number"):
+    """Help text of an option whose 'auto' value `study.POLICY` chooses."""
+    return "'auto' (= {}/{}){}".format(*study.POLICY[kind][key], alternatives)
 
 
 def _integer(s, least, even=False):
@@ -112,12 +109,12 @@ def _filter_order(s):
 def cmd_corrector(args):
     field = catalog(args.field)
     grid = StructuredGrid.square(args.R, args.n)
-    T = args.R / 100.0 if args.T is None else args.T
+    T = policy("continuum", R=args.R)["T"] if args.T is None else args.T
     sol = extrapolate(corrector_ladder(grid, field, T, args.k, args.xi, dual=args.dual))
     g = sol.gradient_at_quad()
     print(f"corrector: field={args.field} R={args.R} n={args.n} T={T:g} k={args.k}")
     print(f"  mean |grad phi|^2 on the box: {np.mean(np.sum(g * g, axis=1)):.6e}")
-    if field.period is not None and args.window:
+    if args.window:
         cell = periodic_cell(field, max(round(args.n / (2 * args.R)), 32))
         # the cell corrector of xi is xi_1 phi_1 + xi_2 phi_2
         phi = cell.dual_correctors if args.dual else cell.correctors
@@ -132,8 +129,9 @@ def cmd_corrector(args):
 
 def cmd_homogenize(args):
     field = catalog(args.field)
-    T = args.R / 100.0 if args.T is None else args.T
-    L = args.L if args.L is not None else args.R / 3.0
+    auto = policy("continuum", R=args.R)
+    T = auto["T"] if args.T is None else args.T
+    L = auto["L"] if args.L is None else args.L
     filt = build_filter(args.p)
     make = hom_tensor_projected if args.variant == "projected" else hom_tensor_prime
     H = make(field, args.R, args.n, T, args.k, L, filt)
@@ -170,10 +168,10 @@ def cmd_lattice(args):
     field = LatticeField.from_file(args.pattern_file) if args.pattern_file else default_pattern()
     Acell = exact_cell_hom(field)
     print(f"pattern {field.name}: exact cell value A_hom = {Acell[0,0]:.12f} (offdiag {Acell[0,1]:.1e})")
-    T = args.R / 10.0 if args.T is None else args.T
-    filt = build_filter(args.p)
-    A = lattice_hom(field, args.R, T, args.k, args.R / 3.0, filt)
-    print(f"A'_{{T={T:g},k={args.k},R={args.R},L={args.R/3:.3f},p={args.p}}} = {A[0,0]:.9f}"
+    auto = policy("lattice", S=args.R)
+    T = auto["T"] if args.T is None else args.T
+    A = lattice_hom(field, args.R, T, args.k, auto["L"], build_filter(args.p))
+    print(f"A'_{{T={T:g},k={args.k},R={args.R},L={auto['L']:.3f},p={args.p}}} = {A[0,0]:.9f}"
           f" (err {abs(A[0,0]-Acell[0,0]):.3e})")
 
 
@@ -182,9 +180,11 @@ def cmd_hmm(args):
     f_src = (lambda p: np.ones(p.shape[0])) if args.f == "const" else (
         lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
     )
-    res = hmm_solve(field, args.eps, args.H, f_src, delta=args.delta, T=args.T, k=args.k, h=args.h)
-    print(f"HMM: eps={args.eps} H={args.H} T={res.params['T']:g} k={args.k} "
-          f"delta={args.delta} h={res.params['h']:g}")
+    auto = policy("hmm", H=args.H, eps=args.eps, k=args.k)
+    T = auto["T"] if args.T is None else args.T
+    h = auto["h"] if args.h is None else args.h
+    res = hmm_solve(field, args.eps, args.H, f_src, delta=args.delta, T=T, k=args.k, h=h, p=auto["p"])
+    print(f"HMM: eps={args.eps} H={args.H} T={T:g} k={args.k} delta={args.delta} h={h:g}")
     prov = res.tensor_map.provenance
     print(f"  elements: {res.mesh.n_elements} (computed {prov.count('computed')}, "
           f"copied {prov.count('copied-from-interior')})")
@@ -192,9 +192,8 @@ def cmd_hmm(args):
     print(f"  first element tensor: [[{A0[0,0]:.5f}, {A0[0,1]:.5f}], [{A0[1,0]:.5f}, {A0[1,1]:.5f}]]")
     if args.reference:
         field_eps = scaled_field(field, args.eps)
-        u_eps = fine_reference(field_eps, (1.0, 1.0), res.params["h"] / 2.0, f_src)
-        corr = numerical_corrector(res.mesh, res.u, field_eps, args.eps,
-                                   res.params["T"], args.kprime or args.k, args.delta, res.params["h"])
+        u_eps = fine_reference(field_eps, (1.0, 1.0), h / 2.0, f_src)
+        corr = numerical_corrector(res.mesh, res.u, field_eps, args.eps, T, args.kprime or args.k, args.delta, h)
         pts = u_eps.grid.quad_points()
         C = reconstructed_gradient(res.mesh, corr, pts)
         g_eps = gradient_field(u_eps)
@@ -216,26 +215,7 @@ def cmd_hmm(args):
 
 def cmd_study(args):
     R_list = [float(r) for r in args.rlist.split(",")] if args.rlist else None
-    kmax = args.kmax or 2
-    if args.preset == "lattice":
-        Rs = [int(r) for r in (R_list or [20, 40, 60, 80, 100])]
-        variants = [("naive", math.inf, 1)] + [(f"k{k}", None, k) for k in range(1, kmax + 1)]
-        recs = study.sweep_lattice(Rs, variants=variants)
-    elif args.preset == "mat2":
-        Rs = R_list or [5, 10, 20]
-        recs = study.sweep_corrector("mat2", Rs)
-        recs += study.sweep_periodic_tensor("mat2", Rs)
-    elif args.preset in ("mat3", "mat5"):
-        Rs = R_list or [5, 10, 20, 30]
-        # the estimator compares each level with a higher reference level
-        recs = study.sweep_ap(args.preset, Rs, ks=list(range(1, kmax + 1)), kref=max(3, kmax + 1))
-    elif args.preset == "mat4":
-        Rs = R_list or [5, 10, 20]
-        recs = study.sweep_periodic_tensor("mat4", Rs)
-    elif args.preset == "hmm":
-        recs = _hmm_preset_records()
-    else:
-        raise SystemExit(f"unknown preset {args.preset}")
+    recs = study.run_study(args.preset, R_list, **({} if args.kmax is None else {"kmax": args.kmax}))
     for key in sorted({(r.field, r.variant) for r in recs}):
         pts = [r for r in recs if (r.field, r.variant) == key and r.error > 0]
         if len(pts) >= 3:
@@ -247,26 +227,6 @@ def cmd_study(args):
     if args.gnuplot_data:
         write_gnuplot(recs, args.gnuplot_data)
         print(f"gnuplot data written to {args.gnuplot_data}")
-
-
-def _hmm_preset_records():
-    field = catalog("mat2")
-    recs = []
-    eps = 1.0 / 16.0
-    f_src = lambda p: np.ones(p.shape[0])
-    u_hom = fine_reference(constant(periodic_cell(field, 128).A_hom), (1.0, 1.0), 1.0 / 256, f_src)
-    for H in (0.5, 0.25, 0.125):
-        t0 = time.perf_counter()
-        res = hmm_solve(field, eps, H, f_src, k=1)
-        _, _, dh1 = h1_distance(u_hom, res.u)
-        recs.append(
-            study.StudyRecord(
-                field="mat2-hmm", variant="k1", T=res.params["T"], k=1, R=float(1.0 / H),
-                L=H / 2, p=res.params["p"], n=res.mesh.n_elements, h=res.params["h"],
-                error=dh1, error_def="|u_HMM-u_hom|_H1", wall_time=time.perf_counter() - t0,
-            )
-        )
-    return recs
 
 
 def _append_csv(path, records):
@@ -287,7 +247,7 @@ def main(argv=None):
     c.add_argument("--field", required=True)
     c.add_argument("--R", type=_positive, required=True)
     c.add_argument("--n", type=_cells, required=True)
-    c.add_argument("--T", type=_parse_T, default="auto", help="'auto' (= R/100), 'inf', or a number")
+    c.add_argument("--T", type=_parse_T, default="auto", help=_auto("continuum", "T"))
     c.add_argument("--k", type=_positive_int, default=1)
     c.add_argument("--xi", type=_parse_xi, default="1,0", help="direction 'x1,x2' (normalized)")
     c.add_argument("--dual", action="store_true")
@@ -299,7 +259,7 @@ def main(argv=None):
     hcmd.add_argument("--field", required=True)
     hcmd.add_argument("--R", type=_positive, required=True)
     hcmd.add_argument("--n", type=_cells, required=True)
-    hcmd.add_argument("--T", type=_parse_T, default="auto", help="'auto' (= R/100), 'inf', or a number")
+    hcmd.add_argument("--T", type=_parse_T, default="auto", help=_auto("continuum", "T"))
     hcmd.add_argument("--k", type=_positive_int, default=1)
     hcmd.add_argument("--L", type=_positive, default=None)
     hcmd.add_argument("--p", type=_filter_order, default="3")
@@ -313,8 +273,8 @@ def main(argv=None):
     r.set_defaults(func=cmd_reference)
 
     lat = sub.add_parser("lattice", help="exact discrete warm-up pipeline")
-    lat.add_argument("--R", type=_lattice_side, default=40, help="box side in lattice units")
-    lat.add_argument("--T", type=_parse_T, default="auto", help="'auto' (= R/10), 'inf', or a number")
+    lat.add_argument("--R", type=_lattice_side, default=320, help="box side S in lattice units")
+    lat.add_argument("--T", type=_parse_T, default="auto", help=_auto("lattice", "T"))
     lat.add_argument("--k", type=_positive_int, default=1)
     lat.add_argument("--p", type=_filter_order, default="inf")
     lat.add_argument("--pattern-file", default=None)
@@ -325,18 +285,17 @@ def main(argv=None):
     hm.add_argument("--eps", type=_positive, default=1 / 16)
     hm.add_argument("--H", type=_positive, default=0.25)
     hm.add_argument("--delta", type=_positive, default=1.5)
-    hm.add_argument("--T", type=_parse_T, default="auto", help="'auto' (= H/eps), 'inf', or a number")
+    hm.add_argument("--T", type=_parse_T, default="auto", help=_auto("hmm", "T"))
     hm.add_argument("--k", type=_positive_int, default=1)
     hm.add_argument("--kprime", type=_positive_int, default=None)
-    hm.add_argument("--h", type=_parse_h, default="auto", help="'auto' (= eps/8) or a number")
+    hm.add_argument("--h", type=_parse_h, default="auto", help=_auto("hmm", "h", " or a number"))
     hm.add_argument("--f", choices=("const", "sin"), default="const")
     hm.add_argument("--reference", action="store_true", help="also run the fine solve")
     hm.add_argument("--csv", default=None)
     hm.set_defaults(func=cmd_hmm)
 
     st = sub.add_parser("study", help="convergence sweeps with slope fits")
-    st.add_argument("--preset", required=True,
-                    choices=("lattice", "mat2", "mat3", "mat4", "mat5", "hmm"))
+    st.add_argument("--preset", required=True, choices=tuple(study.PRESETS))
     st.add_argument("--kmax", type=_positive_int, default=None,
                     help="highest extrapolation level of the lattice, mat3 and mat5 presets (default 2)")
     st.add_argument("--rlist", default=None, help="comma-separated R values")
@@ -348,6 +307,8 @@ def main(argv=None):
     if getattr(args, "T", None) == math.inf and (args.k, getattr(args, "kprime", None) or 1) != (1, 1):
         flags = "--k and --kprime" if args.cmd == "hmm" else "--k"
         sub.choices[args.cmd].error(f"--T inf admits no extrapolation: {flags} must be 1")
+    if args.cmd == "corrector" and args.window is not None and catalog(args.field).period is None:
+        c.error(f"--window needs a periodic field to compare with; {args.field} has no period")
     if args.cmd == "study" and args.kmax is not None and args.preset in ("mat2", "mat4", "hmm"):
         st.error(f"--kmax does not apply to the {args.preset} preset")
     return args.func(args) or 0

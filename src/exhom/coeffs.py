@@ -116,6 +116,8 @@ def _offdiag_fluct(x1: np.ndarray, x2: np.ndarray, amplitude: float) -> np.ndarr
 def constant(value) -> CoefficientField:
     """Constant field; `value` is a scalar (isotropic) or a 2x2 matrix."""
     mat = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("constant field must be finite")
     if mat.ndim == 0:
         mat = float(mat) * np.eye(2)
     if mat.shape != (2, 2):

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -536,21 +536,22 @@ def hmm_solve(
     H: float,
     f: Callable[[np.ndarray], np.ndarray],
     delta: float = 1.5,
-    T: Optional[float] = None,
+    *,
+    T: float,
     k: int = 1,
-    h: Optional[float] = None,
-    p: Optional[float] = None,
+    h: float,
+    p: float,
     extent=(1.0, 1.0),
     rel_tol: float = 1e-8,
 ) -> HMMResult:
-    """Full coarse pipeline on the rectangle D with defaults per the method.
+    """Full coarse pipeline on the rectangle D: local tensors at regularization
+    T, level k, fine spacing h and filter order p, then the coarse solve.
 
-    T defaults to H/eps, h to eps/8, and the filter order to 2k - 1.
+    `study.policy("hmm", H=H, eps=eps, k=k)` gives the method's choice of T,
+    h and p.
     """
-    T = (H / eps) if T is None else T
     mesh = CoarseMesh.rectangle(extent[0], extent[1], H)
-    h = (eps / 8.0) if h is None else h
-    filt = build_filter(2 * k - 1 if p is None else p)
+    filt = build_filter(p)
     field_eps = scaled_field(field, eps)
     tmap = build_tensor_map(mesh, field_eps, eps, T, k, delta, h, filt, rel_tol=rel_tol)
     u = coarse_solve(mesh, tmap, f)

@@ -1,5 +1,6 @@
 import argparse
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,6 +12,7 @@ from exhom.coeffs import catalog
 from exhom.corrector import corrector_error, corrector_ladder, extrapolate
 from exhom.grid import CorrectorOperator, StructuredGrid
 from exhom.reference import periodic_cell
+from exhom.study import policy
 
 
 def test_parse_xi_normalizes():
@@ -205,6 +207,12 @@ def test_study_hmm_preset_records_three_H_and_fits_a_slope(tmp_path, capsys):
     assert main(["study", "--preset", "hmm", "--out", str(out)]) == 0
     rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
     assert [float(r[4]) for r in rows] == [2.0, 4.0, 8.0]  # R = 1/H
+    for r in rows:
+        H = 1 / float(r[4])
+        auto = policy("hmm", H=H, eps=1 / 16, k=1)
+        assert [r[2], r[5], r[6], r[7], r[8]] == [
+            f"{auto['T']:.12g}", f"{H / 2:.12g}", str(auto["p"]), str(2 * round(1 / H) ** 2), f"{auto['h']:.12g}"
+        ]
     errors = [float(r[9]) for r in rows]
     assert errors == sorted(errors, reverse=True)
     assert "mat2-hmm   k1             slope" in capsys.readouterr().out
@@ -235,10 +243,12 @@ def test_corrector_window_compares_an_oblique_xi_with_the_combined_cell_correcto
     *[(["lattice", "--R", "16"], "--p", v) for v in ("x", "7", "nan")],
     *[(["corrector", "--field", "mat2", "--R", "1", "--n", "8"], "--window", v)
       for v in ("nan", "0", "-0.5", "1.5", "inf", "soon")],
+    (["corrector", "--field", "mat3", "--R", "1", "--n", "8"], "--window", "0.5"),
 ])
 def test_p_and_window_are_checked_before_any_solve(capsys, monkeypatch, cmd, flag, value):
     # --p x and --p 7 used to end in tracebacks, --window nan after the box
-    # solve, and --window 0 skipped the error line
+    # solve, --window 0 skipped the error line, and on mat3, which has no
+    # period to compare with, --window was ignored without a word
     def no_solve(*args, **kwargs):
         raise AssertionError("an operator was built")
 
@@ -252,3 +262,18 @@ def test_p_and_window_are_checked_before_any_solve(capsys, monkeypatch, cmd, fla
 
 def test_filter_orders_accepted_by_the_cli():
     assert [_filter_order(s) for s in ("0", "4", "inf", "oo")] == [0, 4, math.inf, math.inf]
+
+
+@pytest.mark.parametrize("cmd, kind, sizes, shown", [
+    (["corrector", "--field", "mat2", "--R", "1.5", "--n", "8"], "continuum", dict(R=1.5), {"T": "g"}),
+    (["homogenize", "--field", "mat2", "--R", "1.5", "--n", "8"], "continuum", dict(R=1.5), {"T": "g", "L": "g"}),
+    (["lattice", "--R", "16"], "lattice", dict(S=16), {"T": "g", "L": ".3f"}),
+    (["hmm", "--H", "0.5", "--eps", "0.125"], "hmm", dict(H=0.5, eps=0.125, k=1), {"T": "g", "h": "g"}),
+])
+def test_auto_prints_the_policy(capsys, cmd, kind, sizes, shown):
+    # the lattice used to take T = S/10 and L = S/3, the lattice study S/40 and S/12
+    assert main(cmd) == 0
+    out = capsys.readouterr().out
+    auto = policy(kind, **sizes)
+    for key, fmt in shown.items():
+        assert re.search(rf"\b{key}=([^\s,}}]+)", out).group(1) == format(auto[key], fmt)

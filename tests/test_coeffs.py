@@ -55,6 +55,13 @@ def test_malformed_name_raises(name):
         catalog(name)
 
 
+@pytest.mark.parametrize("name", ["constant:nan", "constant:inf"])
+def test_nonfinite_constant_raises_at_lookup(name):
+    # these used to build a field that failed only at assembly
+    with pytest.raises(ValueError, match="must be finite"):
+        catalog(name)
+
+
 @pytest.mark.parametrize("name, expected", [("constant", "constant:1"), ("constant:2.5", "constant:2.5"),
                                             (" laminate ", "laminate"), ("mat3", "mat3")])
 def test_well_formed_names(name, expected):

@@ -20,6 +20,7 @@ from exhom.hmm import (
     reconstructed_gradient,
     scaled_field,
 )
+from exhom.study import policy
 
 F_ONE = lambda p: np.ones(p.shape[0])
 
@@ -171,7 +172,7 @@ def test_tensor_map_fallback_when_no_interior():
 def test_degenerate_consistency_with_constant_field():
     # replacing the eps-field by a constant reproduces the plain coarse solve
     A0 = np.array([[2.0, 0.0], [0.0, 2.0]])
-    res = hmm_solve(constant(A0), eps=1 / 8, H=0.25, f=F_ONE, k=1)
+    res = hmm_solve(constant(A0), eps=1 / 8, H=0.25, f=F_ONE, k=1, **policy("hmm", H=0.25, eps=1 / 8, k=1))
     mesh = res.mesh
     direct = coarse_solve(mesh, A0, F_ONE)
     assert np.allclose(res.u.values, direct.values, atol=1e-7)
@@ -180,7 +181,7 @@ def test_degenerate_consistency_with_constant_field():
 
 def test_unregularized_hmm_rejects_extrapolation():
     with pytest.raises(ValueError, match="k must be 1"):
-        hmm_solve(catalog("mat2"), eps=1 / 8, H=0.25, f=F_ONE, T=np.inf, k=2)
+        hmm_solve(catalog("mat2"), eps=1 / 8, H=0.25, f=F_ONE, T=np.inf, k=2, h=1 / 64, p=3)
 
 
 def test_numerical_corrector_constant_field():

@@ -6,46 +6,64 @@ import math
 import numpy as np
 import pytest
 
+import exhom.study
 from exhom.averaging import solve_corrector_bundle
 from exhom.coeffs import catalog
 from exhom.grid import StructuredGrid
-from exhom.study import (
-    CSV_COLUMNS,
-    StudyRecord,
-    sweep_ap,
-    sweep_corrector,
-    sweep_lattice,
-    sweep_periodic_tensor,
-    write_csv,
-)
+from exhom.study import CSV_COLUMNS, StudyRecord, policy, run_study, write_csv
 
 
-def _assert_finite_positive(records, count):
+def _assert_policy_records(records, count, expected):
+    """`count` records, each with a finite positive error and the columns
+    that `expected(R)` gives, except T = inf on the naive curves."""
     assert len(records) == count
     for r in records:
         assert math.isfinite(r.error) and r.error > 0.0, r
+        want = expected(r.R)
+        if r.variant.startswith("naive"):
+            want["T"] = math.inf
+        assert {key: getattr(r, key) for key in want} == want, r
+
+
+def _continuum(R, cells_per_unit=4):
+    n = round(2 * R * cells_per_unit)
+    return dict(policy("continuum", R=R), n=n, h=2 * R / n)
 
 
 def test_sweep_lattice_tiny():
-    _assert_finite_positive(sweep_lattice([3, 4, 5]), 9)
+    # R counts periods: the box side is S = 4R lattice units
+    expected = lambda R: dict(policy("lattice", S=4 * R), n=4 * R, h=1.0)
+    _assert_policy_records(run_study("lattice", [3, 4, 5]), 9, expected)
 
 
 def test_sweep_corrector_tiny():
-    _assert_finite_positive(sweep_corrector("mat2", [1, 1.5, 2], cells_per_unit=4), 9)
+    # mat2: the corrector curves (naive-full, k1, k2) and the tensor curves (naive, k1, k2)
+    _assert_policy_records(run_study("mat2", [1, 1.5, 2], cells_per_unit=4), 18, _continuum)
 
 
 def test_sweep_periodic_tensor_tiny():
-    _assert_finite_positive(sweep_periodic_tensor("mat2", [1.5, 2, 3], cells_per_unit=4, reference_n=8), 9)
+    _assert_policy_records(run_study("mat4", [1.5, 2, 3], cells_per_unit=4), 9, _continuum)
 
 
 def test_sweep_ap_tiny():
     # per R: k1 and k2 tensor and corrector estimates, plus the naive corrector
-    _assert_finite_positive(sweep_ap("mat3", [1.5, 2], cells_per_unit=4), 10)
+    _assert_policy_records(run_study("mat3", [1.5, 2], cells_per_unit=4), 10, _continuum)
 
 
-def test_sweep_failure_propagates():
-    with pytest.raises(ValueError):
-        sweep_corrector("mat2", [1.0], cells_per_unit=4, rel_tol=1.0)
+def test_sweep_failure_propagates(monkeypatch):
+    # a solver that rejects its input raises out of the driver, not into a NaN row
+    monkeypatch.setattr(exhom.study, "_REL_TOL", 1.0)
+    with pytest.raises(ValueError, match="rel_tol"):
+        run_study("mat2", [1.0], cells_per_unit=4)
+
+
+def test_policy_values():
+    assert policy("continuum", R=10) == {"T": 10 / 100, "L": 10 / 3}
+    assert policy("lattice", S=320) == {"T": 8.0, "L": 320 / 12}
+    assert policy("hmm", H=0.25, eps=1 / 16, k=2) == {"T": 4.0, "h": 1 / 128, "p": 3}
+    # per side, the lattice rule is bitwise the earlier per-period rule T = R/10, L = R/3
+    for R in range(1, 200):
+        assert policy("lattice", S=4 * R) == {"T": R / 10.0, "L": R / 3.0}
 
 
 @pytest.mark.parametrize("name", ["mat2", "mat4"])
