@@ -215,7 +215,10 @@ class CorrectorBundle:
     ..., 2^{kmax-1} T; for symmetric fields `dual` is the same object as
     `primal`.  `primal` and `dual` are the level-k correctors, extrapolated
     from the first k rungs.  `at_level(j)` is the same bundle viewed at any
-    level j up to the ladder length, with no new solve.
+    level j up to the ladder length, with no new solve.  `A_p` is the
+    solves' operator's coefficient on one period of Gauss points (B = 1,
+    cx, cy, 4, 2, 2): cell (i, j) of the grid reads it at (i mod cx,
+    j mod cy), and no array holds A per cell of the grid.
     """
 
     grid: StructuredGrid
@@ -223,7 +226,7 @@ class CorrectorBundle:
     T: float
     k: int
     ladders: tuple
-    A_q: np.ndarray  # the field at the grid's Gauss points, from the solves' operator
+    A_p: np.ndarray
     primal: list = dc_field(init=False)
     dual: list = dc_field(init=False)
 
@@ -259,12 +262,12 @@ def solve_corrector_bundle(
         dual = primal
     else:
         dual = solve_ladder(op.transpose(), T, km, np.eye(2), dual=True, rel_tol=rel_tol)
-    return CorrectorBundle(grid=grid, field=field, T=T, k=k, ladders=(primal, dual), A_q=op.A_q)
+    return CorrectorBundle(grid=grid, field=field, T=T, k=k, ladders=(primal, dual), A_p=op.A_p)
 
 
 def _tensor_from_gradients(
     grid: StructuredGrid,
-    A_q: np.ndarray,
+    A_p: np.ndarray,
     primal,
     dual,
     filt: Filter,
@@ -272,7 +275,7 @@ def _tensor_from_gradients(
     project: bool,
     center=None,
 ):
-    """Windowed tensor from the level-k correctors and A at the grid's Gauss points.
+    """Windowed tensor from the level-k correctors and A on one period of the grid's Gauss points.
 
     `primal` and `dual` hold the correctors for xi = e1, e2 as DofVectors on
     `grid` (`dual` is `primal` for symmetric fields).  Returns the tensor,
@@ -282,30 +285,31 @@ def _tensor_from_gradients(
     vp = np.stack([u.values for u in primal])[:, None]
     vd = vp if dual is primal else np.stack([u.values for u in dual])[:, None]
     center = grid.center if center is None else center
-    mats, mp, md, masses = _window_tensors([grid], primal[0].bc, A_q, vp, vd, filt, L, [center], project)
+    mats, mp, md, masses = _window_tensors([grid], primal[0].bc, A_p, vp, vd, filt, L, [center], project)
     mat = mats[0]
     min_eig = float(np.linalg.eigvalsh(0.5 * (mat + mat.T)).min())
     return mat, min_eig, {"primal": list(mp[0]), "dual": list(md[0])}, float(masses[0])
 
 
-def _window_tensors(grids, bc, A_q, primal, dual, filt, L, centers, project):
+def _window_tensors(grids, bc, A_p, primal, dual, filt, L, centers, project):
     """Windowed tensors of grids of one shape, each around its own center.
 
     `primal` and `dual` stack the free-dof values of the correctors for
     xi = e1, e2, (direction, grid, dof) (`dual` is `primal` for symmetric
-    fields), and `A_q` holds A at every grid's Gauss points.  Only each
-    filter's window is visited: A, the gradients, their means and the
-    contraction are restricted to the block of cells where mu_L is
-    nonzero, and the grids whose windows cover the same block are
-    contracted together.  Returns the tensors (B, 2, 2), the primal and
-    dual gradient means (B, direction, axis) and the filter masses (B,).
+    fields).  `A_p` (B, cx, cy, 4, 2, 2) holds A on one period of each
+    grid's Gauss points, read by cell (i, j) at (i mod cx, j mod cy); the
+    whole grid is a period too.  Only each filter's window is visited: A,
+    the gradients, their means and the contraction are restricted to the
+    block of cells where mu_L is nonzero, and the grids whose windows cover
+    the same block are contracted together.  Returns the tensors (B, 2, 2),
+    the primal and dual gradient means (B, direction, axis) and the filter
+    masses (B,).
     """
-    B, nx, ny = len(grids), grids[0].nx, grids[0].ny
+    B, (cx, cy) = len(grids), A_p.shape[1:3]
     windows = filt.windows(grids, L, centers)
     groups = {}
     for b, ((sx, sy), _) in enumerate(windows):
         groups.setdefault((sx.start, sx.stop, sy.start, sy.stop), []).append(b)
-    A_q = A_q.reshape(B, nx, ny, 4, 2, 2)
     mats, means_p, masses = np.empty((B, 2, 2)), np.empty((B, 2, 2)), np.empty(B)
     means_d = means_p if dual is primal else np.empty((B, 2, 2))
     eye = np.eye(2)[:, :, None]
@@ -319,7 +323,8 @@ def _window_tensors(grids, bc, A_q, primal, dual, filt, L, centers, project):
         wn = w / mass[:, None]
         # A on the window, (grid, row, column, point), and the (grid, direction,
         # axis, point) gradients: every product runs along the points
-        A_w = A_q[idx, sx, sy].reshape(len(idx), -1, 4).transpose(0, 2, 1).reshape(len(idx), 2, 2, -1)
+        on_period = np.ix_(idx, np.arange(sx.start, sx.stop) % cx, np.arange(sy.start, sy.stop) % cy)
+        A_w = A_p[on_period].reshape(len(idx), -1, 4).transpose(0, 2, 1).reshape(len(idx), 2, 2, -1)
         gp = np.stack([_gradients(v[idx], sub, bc, cells) for v in primal], axis=1)
         gd = gp if dual is primal else np.stack([_gradients(v[idx], sub, bc, cells) for v in dual], axis=1)
         mp = (gp @ wn[:, None, :, None])[..., 0]
@@ -344,7 +349,7 @@ def _hom_tensor(field, R, n, T, k, L, filt, rel_tol, project, bundle=None):
         bundle = solve_corrector_bundle(field, grid, T, k, rel_tol=rel_tol)
     primal = [s.u for s in bundle.primal]
     dual = primal if bundle.dual is bundle.primal else [s.u for s in bundle.dual]
-    mat, min_eig, means, mass = _tensor_from_gradients(bundle.grid, bundle.A_q, primal, dual, filt, L, project)
+    mat, min_eig, means, mass = _tensor_from_gradients(bundle.grid, bundle.A_p, primal, dual, filt, L, project)
     params = dict(
         field=field.name,
         variant="projected" if project else "prime",

@@ -98,6 +98,11 @@ def _window_fraction(s):
     return v
 
 
+def _rlist(s):
+    """Comma-separated positive finite R values."""
+    return [_positive(t) for t in s.split(",")]
+
+
 def _filter_order(s):
     """A filter order that `build_filter` accepts: 0, 1, 2, 3, 4 or inf."""
     try:
@@ -214,13 +219,12 @@ def cmd_hmm(args):
 
 
 def cmd_study(args):
-    R_list = [float(r) for r in args.rlist.split(",")] if args.rlist else None
-    recs = study.run_study(args.preset, R_list, **({} if args.kmax is None else {"kmax": args.kmax}))
-    for key in sorted({(r.field, r.variant) for r in recs}):
-        pts = [r for r in recs if (r.field, r.variant) == key and r.error > 0]
+    recs = study.run_study(args.preset, args.rlist, **({} if args.kmax is None else {"kmax": args.kmax}))
+    for (fname, variant, error_def), rs in sorted(study.curves(recs).items()):
+        pts = [r for r in rs if r.error > 0]
         if len(pts) >= 3:
             fit = fit_slope(pts)
-            print(f"{key[0]:10s} {key[1]:14s} slope {fit.slope:+.3f} over {fit.npoints} points")
+            print(f"{fname:10s} {variant:14s} slope {fit.slope:+.3f} over {fit.npoints} points ({error_def})")
     if args.out:
         write_csv(recs, args.out)
         print(f"{len(recs)} records written to {args.out}")
@@ -298,7 +302,7 @@ def main(argv=None):
     st.add_argument("--preset", required=True, choices=tuple(study.PRESETS))
     st.add_argument("--kmax", type=_positive_int, default=None,
                     help="highest extrapolation level of the lattice, mat3 and mat5 presets (default 2)")
-    st.add_argument("--rlist", default=None, help="comma-separated R values")
+    st.add_argument("--rlist", type=_rlist, default=None, help="comma-separated R values")
     st.add_argument("--out", default=None)
     st.add_argument("--gnuplot-data", dest="gnuplot_data", default=None)
     st.set_defaults(func=cmd_study)
@@ -311,6 +315,12 @@ def main(argv=None):
         c.error(f"--window needs a periodic field to compare with; {args.field} has no period")
     if args.cmd == "study" and args.kmax is not None and args.preset in ("mat2", "mat4", "hmm"):
         st.error(f"--kmax does not apply to the {args.preset} preset")
+    if args.cmd == "study" and args.preset == "lattice":
+        try:
+            for R in args.rlist or ():
+                study.lattice_periods(R)
+        except ValueError as exc:
+            st.error(f"--rlist: {exc}")
     return args.func(args) or 0
 
 

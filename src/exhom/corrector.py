@@ -260,7 +260,7 @@ def residual_identity_check(
     bnorm = float(np.linalg.norm(b))
     # homogeneous right-hand sides (constant fields) assemble to roundoff on
     # the field's scale; treat them as zero so 0/0 returns 0 by convention
-    bfloor = 1e-12 * np.abs(op.A_q).max() * phi_Tk1.grid.hx * math.sqrt(b.size)
+    bfloor = 1e-12 * np.abs(op.A_p).max() * phi_Tk1.grid.hx * math.sqrt(b.size)
     if bnorm <= bfloor:
         return 0.0
     res = op.matrix(1.0 / T) @ phi_Tk1.u.values - b - (op.M @ phi_2Tk.u.values) / T

@@ -8,15 +8,19 @@ periodic.  A `DofVector` always holds a value on every free dof of its grid.
 A `CorrectorOperator` is built once per (field, grid, bc).  It evaluates A
 at the quadrature points of one period of the field: the first cx x cy
 cells from the grid's origin when the period spans a whole number of cells,
-fewer than the grid has, else the whole grid.  Summing the cell stiffnesses
-and the loads -int grad(psi) . A e_i over it as a torus gives the stiffness
-as a stencil table (B, cx, cy, 3, 3), each torus node's couplings to its
+fewer than the grid has, else the whole grid.  A lives on that period only
+(`A_p`, read by cell (i, j) at (i mod cx, j mod cy)); nothing holds it per
+cell of the grid.  Summing the cell stiffnesses and the loads
+-int grad(psi) . A e_i over the period as a torus gives the stiffness as a
+stencil table (B, cx, cy, 3, 3), each torus node's couplings to its
 neighbour offsets, read by free dof (i, j) at node (i mod cx, j mod cy).
 The mass M = diag(w) (x) Mx (x) My, for Q1 the 1-D P1 masses of unit cells
 with w = hx hy and for the lattice identities with w = 1, is held as 1-D
 tables on the same torus.  Every matrix of a level is one gather of a table
 onto the level's CSR pattern, built once, so K, M and every shift K + s M
 share their index arrays, and a dyadic ladder in T re-assembles nothing.
+Every index array of the hierarchy is int32; a batch whose tables would
+need larger indices is refused (`_check_int32`).
 
 The assembly carries a leading batch axis: an operator is built for a
 batch of grids that share their cell counts (nx, ny) and bc, each with its
@@ -322,6 +326,15 @@ def _cell_sum(grids, bc: str, cell_values: np.ndarray) -> np.ndarray:
     return _free_part(nodal, bc)
 
 
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def _check_int32(n: int) -> None:
+    """Raise ValueError when index n does not fit the int32 index arrays."""
+    if n > _INT32_MAX:
+        raise ValueError(f"index {n} exceeds the int32 range of the index arrays: split the batch into smaller ones")
+
+
 def _runs(m: int) -> list:
     """(start, stop) of the runs first node, inner nodes, last node of m nodes in a row."""
     c = sorted({0, min(1, m), max(m - 1, 0), m})
@@ -335,13 +348,16 @@ def _runs_csr(mx: int, my: int, row, shift, dtypes, B: int, steps) -> tuple:
     y0..y1-1, as one (y1 - y0, c) array; row (i, j) of an x run is row
     (x0, j) plus shift(x0, x1)[a][i - x0] on array a, and block b adds
     steps[a] * b.  So each x run fills its block of the arrays in one sum,
-    with no pass over the rows and no sort.
+    with no pass over the rows and no sort.  Block b's entries lie in
+    [b steps[a], (b + 1) steps[a]), so every index fits int32 when B times
+    the largest step and the entry count do.
     """
     parts = [(x0, x1, [row(x0, y0, y1) for y0, y1 in _runs(my)]) for x0, x1 in _runs(mx)]
     counts = np.empty((B, mx, my), dtype=np.int32)
     for x0, x1, p in parts:
         for (y0, y1), q in zip(_runs(my), p):
             counts[:, x0:x1, y0:y1] = q[0].shape[1]
+    _check_int32(max(B * max(steps) - 1, int(counts.sum(dtype=np.int64))))
     indptr = np.zeros(counts.size + 1, dtype=np.int32)
     np.cumsum(counts.ravel(), out=indptr[1:])
     nnz = indptr[mx * my]
@@ -396,7 +412,7 @@ def _stencil_pattern(nx: int, ny: int, bc: str, B: int, periods=None, used=None)
     def shift(x0, x1):
         return np.arange(x1 - x0, dtype=np.int32) * my, pos_x[x0:x1, 1] - pos_x[x0, 1]
 
-    indptr, (indices, gather) = _runs_csr(mx, my, row, shift, (np.int32, np.intp), B, (mx * my, 9 * tx * ty))
+    indptr, (indices, gather) = _runs_csr(mx, my, row, shift, (np.int32, np.int32), B, (mx * my, 9 * tx * ty))
     return indices, indptr, gather
 
 
@@ -479,11 +495,12 @@ class _Level:
 
     `K` is a (B, tx, ty, 3, 3) table: per block and node (r, s) of a tx x ty
     torus, the couplings to the neighbour offsets (dx, dy); free dof (i, j)
-    reads node (i mod tx, j mod ty) (`_period_index`).  `mass` = (w, mx, my)
-    gives M = diag(w) (x) mx (x) my from 1-D tables on the same torus, and
-    `M` is its table.  The pattern stores the offsets nonzero somewhere in
-    K, M or their reflections, so K, M, K + s M and K^T (`transposed`) are
-    each one gather of a table onto it (`matrix`).
+    reads node (i mod tx, j mod ty) (`_period_index`), at the int32
+    position `rows` of the flattened nodes.  `mass` = (w, mx, my) gives M =
+    diag(w) (x) mx (x) my from 1-D tables on the same torus, and `M` is its
+    table.  The pattern stores the offsets nonzero somewhere in K, M or
+    their reflections, so K, M, K + s M and K^T (`transposed`) are each one
+    gather of a table onto it (`matrix`).
     """
 
     def __init__(self, shape, bc: str, K: np.ndarray, mass):
@@ -493,7 +510,8 @@ class _Level:
         used = (np.count_nonzero(K.reshape(-1, 9), axis=0).reshape(3, 3) > 0) | np.outer(mx.any(0), my.any(0))
         B, tx, ty = K.shape[:3]
         self.indices, self.indptr, self.gather = _stencil_pattern(*shape, bc, B, (tx, ty), used | used[::-1, ::-1])
-        self.rows = ((tx * ty) * np.arange(B)[:, None] + _period_index(*shape, bc, (tx, ty))).ravel()
+        # below 9 B tx ty, which the gather's int32 range check covered
+        self.rows = ((tx * ty) * np.arange(B)[:, None] + _period_index(*shape, bc, (tx, ty))).ravel().astype(np.int32)
 
     def coarse(self) -> "_Level":
         p, (w, mx, my) = self.bc == "periodic", self.mass
@@ -517,7 +535,7 @@ class _Level:
 
 
 def _q1_stiffness_local(grids, A_q: np.ndarray) -> np.ndarray:
-    """(B, ncells, 16) cell stiffness matrices from A at the quadrature points, (B * ncells, 4, 2, 2)."""
+    """(B, ncells, 16) cell stiffness matrices from A at the quadrature points, B * ncells * 16 values."""
     D = _physical_shape_gradients(grids)  # (z, g, i, a)
     # K_loc[z, c, i, j] = w_z sum_g dN_g[i] . A_g dN_g[j]: one matmul per grid over (g, a, b)
     basis = _quad_weights(grids)[:, None, None] * np.einsum("zgia,zgjb->zgabij", D, D).reshape(-1, 16, 16)
@@ -569,8 +587,9 @@ def _period_index(nx: int, ny: int, bc: str, cells) -> np.ndarray:
     return ((np.arange(lo, lo + mx) % cx)[:, None] * cy + np.arange(lo, lo + my) % cy).ravel()
 
 
-def _tiled_loads(grids, bc: str, cells, A_p: np.ndarray) -> np.ndarray:
-    """`_q1_loads` of the grids, summed on one period of each from A there, A_p (B * cx * cy, 4, 2, 2)."""
+def _tiled_loads(grids, bc: str, A_p: np.ndarray) -> np.ndarray:
+    """`_q1_loads` of the grids, summed on one period of each from A there, A_p (B, cx, cy, 4, 2, 2)."""
+    cells = A_p.shape[1:3]
     loads = _q1_loads(_period_grids(grids, cells), "periodic", A_p).reshape(2, len(grids), -1)
     return loads[:, :, _period_index(grids[0].nx, grids[0].ny, bc, cells)].reshape(2, -1)
 
@@ -768,14 +787,18 @@ class CorrectorOperator:
     identities for the lattice; the coarse ones are built when a system is
     first requested.  `K` and `M` are the finest level's matrices.  Also
     held: the loads b_i for xi = e_i (rhs for any xi is xi . b), the
-    restrictions I_B (x) Px^T (x) Py^T and their transposes, and `A_q`, the
-    coefficient at the quadrature points (B * ncells, 4, 2, 2) when built
-    from a field.  Each call of `systems` builds one shift's hierarchy,
-    shared by the systems it returns, on a band factorization of its bottom
-    level (Cholesky when the field is symmetric).
+    restrictions I_B (x) Px^T (x) Py^T and their transposes, and, when built
+    from a field, `A_p`: the coefficient at the quadrature points of one
+    period (B, cx, cy, 4, 2, 2), which cell (i, j) of every grid reads at
+    (i mod cx, j mod cy); a field without a period, or one whose period does
+    not tile the grid, has the whole grid as its period.  No array with an
+    entry per Gauss point of the grid is kept.  Each call of `systems`
+    builds one shift's hierarchy, shared by the systems it returns, on a
+    band factorization of its bottom level (Cholesky when the field is
+    symmetric).
     """
 
-    def __init__(self, grids, bc, stiffness, mass, loads, symmetric, A_q=None):
+    def __init__(self, grids, bc, stiffness, mass, loads, symmetric, A_p=None):
         _check_bc(bc)
         self.grids, self.bc = _batch(grids), bc
         self.grid = self.grids[0] if len(self.grids) == 1 else None
@@ -783,8 +806,7 @@ class CorrectorOperator:
         self.levels = [_Level((nx, ny), bc, stiffness, mass)]
         self.loads = loads
         self.symmetric = bool(symmetric)
-        self.A_q = A_q
-        self._cells = stiffness.shape[1:3]  # the period torus, over which A_q repeats
+        self.A_p = A_p
         B = len(self.grids)
         self.shapes, prolongations_1d = _hierarchy(nx, ny, bc)
         self.restrictions = [_restriction(px, py, B) for px, py in prolongations_1d]
@@ -799,22 +821,21 @@ class CorrectorOperator:
         on the first cx x cy cells of each grid, whose cell stiffnesses and
         loads, summed as a torus, give the finest level's table and every
         free dof's load; otherwise the period is the grid itself, and this
-        reproduces the direct sum bitwise.  Raises ValueError, naming the
-        field and a Gauss point, where A is NaN or inf, is not symmetric (to
-        `np.isclose`) though the field is flagged so, or has a symmetric
-        part that is not positive definite.
+        reproduces the direct sum bitwise.  The operator keeps A there as
+        `A_p`.  Raises ValueError, naming the field and a Gauss point, where
+        A is NaN or inf, is not symmetric (to `np.isclose`) though the field
+        is flagged so, or has a symmetric part that is not positive definite.
         """
         grids = _batch(grids)
-        B, nx, ny = len(grids), grids[0].nx, grids[0].ny
+        B = len(grids)
         cells = _cells_per_period(grids, field, bc)
         period = _period_grids(grids, cells)
         points = period[0].quad_points() if B == 1 else np.concatenate([g.quad_points() for g in period])
-        A_p = field(points).reshape(-1, 4, 2, 2)
+        A_p = field(points).reshape(B, *cells, 4, 2, 2)
         _check_coefficient(field, A_p.reshape(-1, 2, 2), points)
         K = _stencil_data(period, "periodic", _q1_stiffness_local(period, A_p)).reshape(B, *cells, 3, 3)
         mass = (np.array([g.hx * g.hy for g in grids]), *(np.tile(_UNIT_MASS, (c, 1)) for c in cells))
-        A_q = A_p.reshape(B, -1, 4, 2, 2)[:, _period_index(nx, ny, "periodic", cells)].reshape(-1, 4, 2, 2)
-        return cls(grids, bc, K, mass, _tiled_loads(grids, bc, cells, A_p), field.is_symmetric, A_q=A_q)
+        return cls(grids, bc, K, mass, _tiled_loads(grids, bc, A_p), field.is_symmetric, A_p=A_p)
 
     @property
     def K(self) -> sp.csr_matrix:
@@ -833,17 +854,16 @@ class CorrectorOperator:
     def transpose(self) -> "CorrectorOperator":
         """The operator of the transpose field A^T (dual correctors).
 
-        Every level's stiffness table is reflected (`_reflect`); the masses,
-        the patterns and the prolongations are shared.
+        Every level's stiffness table is reflected (`_reflect`), and the
+        loads are summed from the swapped `A_p`; the masses, the patterns and
+        the prolongations are shared.
         """
         if self.symmetric:
             return self
         t = copy.copy(self)
-        t.A_q = np.swapaxes(self.A_q, -1, -2)
+        t.A_p = np.swapaxes(self.A_p, -1, -2)
         t.levels = [level.transposed() for level in self._all_levels()]
-        (cx, cy), B = self._cells, len(self.grids)
-        A_p = t.A_q.reshape(B, self.grids[0].nx, self.grids[0].ny, 4, 2, 2)[:, :cx, :cy]
-        t.loads = _tiled_loads(self.grids, self.bc, self._cells, A_p.reshape(-1, 4, 2, 2))
+        t.loads = _tiled_loads(self.grids, self.bc, t.A_p)
         return t
 
     def split(self, values: np.ndarray) -> list:

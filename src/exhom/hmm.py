@@ -333,7 +333,7 @@ def _patch_tensors(grids, centers, field_eps, T, k, H, filt, rel_tol) -> np.ndar
         primal = _extrapolated(op, T, k, rel_tol)
         dual = primal if op.symmetric else _extrapolated(op.transpose(), T, k, rel_tol, dual=True)
         out[chunk] = _window_tensors(
-            op.grids, op.bc, op.A_q, primal, dual, filt, 0.5 * H, centers[chunk], project=True
+            op.grids, op.bc, op.A_p, primal, dual, filt, 0.5 * H, centers[chunk], project=True
         )[0]
     return out[class_of]
 

@@ -75,8 +75,9 @@ def periodic_cell(field: CoefficientField, n: int, rel_tol: float = 1e-10) -> Ce
     primal = corr(op)
     dual = primal if field.is_symmetric else corr(op.transpose())
 
-    # the Gauss points carry equal weights: the cell average is their mean
-    A_q = op.A_q.reshape(-1, 2, 2)
+    # the Gauss points carry equal weights: the cell average is their mean;
+    # the period is the whole grid, so A_p holds A at every Gauss point
+    A_q = op.A_p.reshape(-1, 2, 2)
     eye = np.eye(2)
     A = np.zeros((2, 2))
     gp = [gradient_field(c.u) for c in primal]

@@ -16,10 +16,13 @@ that every record at one R shares (R, n, h, T, L and p, from the policy), and
 a variant names a curve, its level k, where it differs from the box (T = inf
 for the naive, unregularized approximation; a filter order p) and a measure
 that returns one error.  The driver times each measure, fills the record and
-sorts the records.  The presets:
+sorts the records.  A curve is the records of one (field, variant, error_def):
+one preset may plot two quantities under one variant name (`curves`).  The
+presets:
 
 - `lattice`: |A'_{T,k} - A_cell| on the 4-periodic network, against its exact
-  cell value.  R counts periods, so the box side is S = 4R.
+  cell value.  R counts whole periods (`lattice_periods`), so the box side
+  is S = 4R.
 - `mat2`: the windowed corrector-gradient error and the tensor error against
   the periodic cell solved at the same mesh spacing, so the discretization
   error largely cancels; `mat4`: the tensor error alone.
@@ -59,8 +62,10 @@ __all__ = [
     "StudyRecord",
     "SlopeFit",
     "fit_slope",
+    "curves",
     "Variant",
     "run_study",
+    "lattice_periods",
     "PRESETS",
     "write_csv",
     "write_gnuplot",
@@ -134,6 +139,14 @@ def fit_slope(records: Sequence[StudyRecord]) -> SlopeFit:
     return SlopeFit(slope=float(coeffs[0]), intercept=float(coeffs[1]), residual=resid, npoints=len(records))
 
 
+def curves(records: Sequence[StudyRecord]) -> dict:
+    """The sorted records of each curve, keyed (field, variant, error_def)."""
+    groups = {}
+    for r in _sorted(list(records)):
+        groups.setdefault((r.field, r.variant, r.error_def), []).append(r)
+    return groups
+
+
 def _tensor_err(A, Aref) -> float:
     return float(np.max(np.abs(np.asarray(A) - np.asarray(Aref))))
 
@@ -163,12 +176,12 @@ def run_study(preset: str, R_list: Optional[Sequence[float]] = None, **options) 
 
     The options are `kmax`, the highest level of the lattice, mat3 and mat5
     presets (default 2), and `cells_per_unit`, the mesh density of the
-    continuum presets (16 for mat2 and mat4, 12 for mat3 and mat5).
+    continuum presets (16 for mat2 and mat4, 12 for mat3 and mat5).  Every
+    R is checked by the box rule before anything is measured.
     """
     field, R_default, box_of, variants = PRESETS[preset](**options)
     records = []
-    for R in R_default if R_list is None else R_list:
-        box = box_of(R)
+    for box in [box_of(R) for R in (R_default if R_list is None else R_list)]:
         for v in variants:
             T = box.T if v.T is None else v.T
             p = box.p if v.p is None else v.p
@@ -211,14 +224,22 @@ def _tensor(field, box, T, k, filt, bundle):
     return hom_tensor_projected(field, box.R, box.n, T, k, box.L, filt, rel_tol=_REL_TOL, bundle=bundle).matrix
 
 
+def lattice_periods(R) -> int:
+    """R as the whole number of periods of a lattice box; ValueError naming R otherwise."""
+    if not (R >= 1 and float(R).is_integer()):  # also rejects NaN and inf
+        raise ValueError(f"the lattice preset needs a whole number R >= 1 of periods, got R={R!r}")
+    return int(R)
+
+
 def _lattice(kmax=2):
     field = default_pattern()
     Aref = exact_cell_hom(field)
     filt = build_filter("inf")
 
     def box(R):
-        S = 4 * int(R)
-        return SimpleNamespace(R=int(R), n=S, h=1.0, p=filt.order, **policy("lattice", S=S))
+        R = lattice_periods(R)
+        S = 4 * R
+        return SimpleNamespace(R=R, n=S, h=1.0, p=filt.order, **policy("lattice", S=S))
 
     def measure(box, T, k, p):
         return _tensor_err(lattice_hom(field, box.n, T, k, box.L, filt), Aref)
@@ -350,13 +371,10 @@ def _fmt_row(row):
 
 
 def write_gnuplot(records: Sequence[StudyRecord], path) -> None:
-    """Whitespace-separated (log10 R, log10 error) blocks, one per curve."""
-    groups = {}
-    for r in _sorted(list(records)):
-        groups.setdefault((r.field, r.variant), []).append(r)
+    """Whitespace-separated (log10 R, log10 error) blocks, one per curve (`curves`)."""
     with open(path, "w") as fh:
-        for (fname, variant), rs in groups.items():
-            fh.write(f"# {fname} {variant}\n")
+        for (fname, variant, error_def), rs in curves(records).items():
+            fh.write(f"# {fname} {variant} {error_def}\n")
             for r in rs:
                 if r.error > 0 and np.isfinite(r.error):
                     fh.write(f"{math.log10(r.R):.10g} {math.log10(r.error):.10g}\n")

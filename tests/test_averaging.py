@@ -336,11 +336,12 @@ def test_gradient_field_on_cells_bitwise_equal_to_full_slice():
             assert np.array_equal(gradient_field(u, cells), full[cells].reshape(-1, 2))
 
 
-def _full_grid_tensor(grid, A_q, primal, dual, filt, L, project, center):
-    """The windowed tensor summed over every Gauss point of the grid with weights_nd."""
-    w = filt.weights_nd(grid.quad_points(), L, center) * grid.quad_weight()
+def _full_grid_tensor(grid, field, primal, dual, filt, L, project, center):
+    """The windowed tensor summed over every Gauss point of the grid with weights_nd, A evaluated there."""
+    pts = grid.quad_points()
+    w = filt.weights_nd(pts, L, center) * grid.quad_weight()
     wn = w / w.sum()
-    A = A_q.reshape(-1, 2, 2)
+    A = field(pts)
     gp = [gradient_field(u) for u in primal]
     gd = [gradient_field(u) for u in dual]
     if project:
@@ -363,8 +364,8 @@ def test_windowed_tensor_matches_full_grid_contraction(mat4_bundle, p, L, projec
     # centred window L = R/3, L = R, and the orders 0 and inf
     b, filt = mat4_bundle, build_filter(p)
     primal, dual = [s.u for s in b.primal], [s.u for s in b.dual]
-    got = _tensor_from_gradients(b.grid, b.A_q, primal, dual, filt, L, project)[0]
-    ref = _full_grid_tensor(b.grid, b.A_q, primal, dual, filt, L, project, b.grid.center)
+    got = _tensor_from_gradients(b.grid, b.A_p, primal, dual, filt, L, project)[0]
+    ref = _full_grid_tensor(b.grid, b.field, primal, dual, filt, L, project, b.grid.center)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -380,6 +381,6 @@ def test_windowed_tensor_on_a_clipped_patch_window():
     (sx, _), _ = window(filt, grid, 0.5 * H, center)
     assert sx.start == 0
     primal, dual = [s.u for s in b.primal], [s.u for s in b.dual]
-    got = _tensor_from_gradients(grid, b.A_q, primal, dual, filt, 0.5 * H, True, center=center)[0]
-    ref = _full_grid_tensor(grid, b.A_q, primal, dual, filt, 0.5 * H, True, center)
+    got = _tensor_from_gradients(grid, b.A_p, primal, dual, filt, 0.5 * H, True, center=center)[0]
+    ref = _full_grid_tensor(grid, field, primal, dual, filt, 0.5 * H, True, center)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()

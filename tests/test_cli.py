@@ -170,6 +170,19 @@ def test_extrapolation_levels_must_be_positive_integers(capsys, cmd, k):
     assert cmd[-1] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("preset, rlist, message", [
+    ("lattice", "3,3.5", "R=3.5"),  # used to run as R = 3
+    ("mat2", "1,0", "positive"),
+    ("mat4", "1,x", "positive number"),
+])
+def test_study_rlist_is_checked_before_any_solve(capsys, preset, rlist, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["study", "--preset", preset, "--rlist", rlist])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--rlist" in err and message in err
+
+
 @pytest.mark.parametrize("preset", ["mat2", "mat4", "hmm"])
 def test_study_rejects_kmax_where_it_does_not_apply(capsys, preset):
     with pytest.raises(SystemExit) as exc:

@@ -276,12 +276,12 @@ def test_chunk_tensors_match_per_patch_contractions(name, shift):
     windows = [cells for cells, _ in filt.windows(grids, 0.5 * mesh.H, centers)]
     blocks = {(sx.start, sx.stop, sy.start, sy.stop) for sx, sy in windows}
     assert len(blocks) == (2 if shift else 1)
-    got = _window_tensors(op.grids, op.bc, op.A_q, primal, dual, filt, 0.5 * mesh.H, centers, True)[0]
-    A_q = op.A_q.reshape(len(grids), -1, 4, 2, 2)
+    got = _window_tensors(op.grids, op.bc, op.A_p, primal, dual, filt, 0.5 * mesh.H, centers, True)[0]
     for b, (g, c) in enumerate(zip(grids, centers)):
         up = [DofVector(v[b], g, "dirichlet0") for v in primal]
         ud = up if dual is primal else [DofVector(v[b], g, "dirichlet0") for v in dual]
-        ref = _tensor_from_gradients(g, A_q[b], up, ud, filt, 0.5 * mesh.H, True, center=tuple(c))[0]
+        A_q = field_eps(g.quad_points()).reshape(1, g.nx, g.ny, 4, 2, 2)  # the whole grid as the period
+        ref = _tensor_from_gradients(g, A_q, up, ud, filt, 0.5 * mesh.H, True, center=tuple(c))[0]
         assert np.abs(got[b] - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -377,7 +377,7 @@ def test_non_periodic_patches_are_bitwise_the_per_chunk_path():
     grids = [exhom.hmm._patch_grid(cents[e], 0.75 * mesh.H, mesh.extent, 1 / 64) for e in computed]
     ((chunk, op),) = exhom.hmm._batches(grids, field_eps)
     primal = exhom.hmm._extrapolated(op, 2.0 / 256, 2, 1e-8)
-    ref = _window_tensors(op.grids, op.bc, op.A_q, primal, primal, filt, 0.5 * mesh.H, cents[computed], True)[0]
+    ref = _window_tensors(op.grids, op.bc, op.A_p, primal, primal, filt, 0.5 * mesh.H, cents[computed], True)[0]
     assert np.array_equal(tmap.tensors[computed], ref)
 
     u = coarse_solve(mesh, tmap, F_ONE)

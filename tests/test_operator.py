@@ -8,6 +8,7 @@ Krylov methods.
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,12 @@ def _tiled_batch(nx, ny, hx, hy):
     return [StructuredGrid(x0, y0, nx, ny, hx, hy) for x0, y0 in ORIGINS]
 
 
+def _on_grid(A_p, nx, ny):
+    """A at every Gauss point of each grid, (B * nx * ny, 4, 2, 2), read off one period A_p (B, cx, cy, 4, 2, 2)."""
+    cx, cy = A_p.shape[1:3]
+    return A_p[:, np.arange(nx) % cx][:, :, np.arange(ny) % cy].reshape(-1, 4, 2, 2)
+
+
 @pytest.mark.parametrize(
     "name, bc, grid, cells",
     [
@@ -185,9 +192,9 @@ def test_tiled_operator_matches_cellwise_assembly(name, bc, grid, cells):
     field = catalog(name)
     grids = _tiled_batch(*grid)
     op = CorrectorOperator.from_field(grids, field, bc)
-    assert op._cells == cells
+    assert op.A_p.shape[1:3] == cells
     inv_T, n = 0.7, op.K.shape[0] // len(grids)
-    A_q = op.A_q.reshape(len(grids), -1, 4, 2, 2)
+    A_q = _on_grid(op.A_p, *grid[:2]).reshape(len(grids), -1, 4, 2, 2)
     dual = op.transpose()
     for b, g in enumerate(grids):
         block = slice(b * n, (b + 1) * n)
@@ -223,10 +230,10 @@ def test_untiled_operator_is_bitwise_the_direct_sum(name, bc, grid):
     field = catalog(name)
     grids = _tiled_batch(*grid)
     op = CorrectorOperator.from_field(grids, field, bc)
-    assert op._cells == grid[:2]
+    assert op.A_p.shape[1:3] == grid[:2]
     K, loads, A_q = _direct_path(grids, field, bc)
     assert np.array_equal(op.K.data, K.data) and np.array_equal(op.K.indices, K.indices)
-    assert np.array_equal(op.loads, loads) and np.array_equal(op.A_q, A_q)
+    assert np.array_equal(op.loads, loads) and np.array_equal(_on_grid(op.A_p, *grid[:2]), A_q)
     if not field.is_symmetric:
         assert np.array_equal(op.transpose().loads, _q1_loads(grids, bc, np.swapaxes(A_q, -1, -2)))
 
@@ -241,7 +248,34 @@ def test_field_is_evaluated_on_one_period_per_grid():
 
     grids = _tiled_batch(24, 16, 0.125, 0.25)
     op = CorrectorOperator.from_field(grids, dataclasses.replace(mat2, evaluate=counting))
-    assert op._cells == (8, 4) and calls == [4 * len(grids) * 8 * 4]
+    assert op.A_p.shape[1:3] == (8, 4) and calls == [4 * len(grids) * 8 * 4]
+
+
+def test_operator_holds_a_on_one_period_and_int32_indices():
+    # a full-grid A (128 B per cell) or int64 index arrays push the held
+    # bytes per dof over these bounds: 303 and 476 with both
+    field, grid = catalog("mat2"), StructuredGrid.square(4.0, 128)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        op = CorrectorOperator.from_field(grid, field)
+        after_setup = tracemalloc.get_traced_memory()[0] - base
+        systems = op.systems(1.0, [op.rhs(xi) for xi in np.eye(2)])
+        with_systems = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    dofs = systems[0].matrix.shape[0]
+    assert after_setup <= 160 * dofs and with_systems <= 320 * dofs, (after_setup / dofs, with_systems / dofs)
+    assert op.A_p.shape[1:3] == tuple(np.rint(field.period / grid.h).astype(int)) == (16, 16)
+    assert len(op.levels) >= 3
+    for level in op.levels:
+        assert level.gather.dtype == level.rows.dtype == level.indices.dtype == np.int32
+
+
+def test_index_tables_beyond_int32_are_refused():
+    # a 2^14 x 2^14 stencil table has 9 * 2^28 entries, more than int32 can index
+    with pytest.raises(ValueError, match="int32"):
+        _stencil_pattern(4, 4, "periodic", 1, (1 << 14, 1 << 14))
 
 
 def test_batch_rejects_grids_of_different_shape():
@@ -391,12 +425,12 @@ def test_bundle_tensor_matches_jacobi_reference(name, T, k):
                 base.append(x0)
             grads[dual, d] = DofVector(richardson_combine(base), grid, "dirichlet0")
     filt = build_filter(4)
-    A_q = field(grid.quad_points())
+    A_q = field(grid.quad_points()).reshape(1, grid.nx, grid.ny, 4, 2, 2)  # the whole grid as the period
     ref = _tensor_from_gradients(grid, A_q, [grads[False, d] for d in range(2)],
                                  [grads[True, d] for d in range(2)], filt, 1.0, project=True)[0]
     primal = [s.u for s in bundle.primal]
     dual = primal if bundle.dual is bundle.primal else [s.u for s in bundle.dual]
-    got = _tensor_from_gradients(grid, bundle.A_q, primal, dual, filt, 1.0, project=True)[0]
+    got = _tensor_from_gradients(grid, bundle.A_p, primal, dual, filt, 1.0, project=True)[0]
     assert np.abs(got - ref).max() <= 1e-7 * np.abs(ref).max()
 
 

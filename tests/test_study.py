@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import exhom.study
 from exhom.averaging import solve_corrector_bundle
 from exhom.coeffs import catalog
 from exhom.grid import StructuredGrid
-from exhom.study import CSV_COLUMNS, StudyRecord, policy, run_study, write_csv
+from exhom.study import CSV_COLUMNS, StudyRecord, curves, fit_slope, policy, run_study, write_csv, write_gnuplot
 
 
 def _assert_policy_records(records, count, expected):
@@ -36,9 +37,39 @@ def test_sweep_lattice_tiny():
     _assert_policy_records(run_study("lattice", [3, 4, 5]), 9, expected)
 
 
-def test_sweep_corrector_tiny():
+@pytest.fixture(scope="module")
+def mat2_tiny():
+    return run_study("mat2", [1, 1.5, 2], cells_per_unit=4)
+
+
+def test_sweep_corrector_tiny(mat2_tiny):
     # mat2: the corrector curves (naive-full, k1, k2) and the tensor curves (naive, k1, k2)
-    _assert_policy_records(run_study("mat2", [1, 1.5, 2], cells_per_unit=4), 18, _continuum)
+    _assert_policy_records(mat2_tiny, 18, _continuum)
+
+
+def test_corrector_and_tensor_curves_of_one_variant_stay_apart(mat2_tiny, tmp_path):
+    # both mat2 curve families name their extrapolated variants k1 and k2; one
+    # slope fit and one gnuplot block used to mix their six errors
+    groups = curves(mat2_tiny)
+    assert len(groups) == 6 and all(len(rs) == 3 for rs in groups.values())
+    corr_def = next(r.error_def for r in mat2_tiny if r.error_def.startswith("fint_w") and r.variant == "k1")
+    for variant in ("k1", "k2"):
+        corr, tensor = groups["mat2", variant, corr_def], groups["mat2", variant, "|A-A_cell|_max"]
+        assert fit_slope(corr).npoints == fit_slope(tensor).npoints == 3
+        assert fit_slope(corr).slope != fit_slope(tensor).slope
+    path = tmp_path / "mat2.dat"
+    write_gnuplot(mat2_tiny, path)
+    blocks = [b.splitlines() for b in path.read_text().split("\n\n\n") if b.strip()]
+    assert [b[0] for b in blocks] == ["# {} {} {}".format(*key) for key in groups]
+    assert {f"# mat2 k1 {corr_def}", "# mat2 k1 |A-A_cell|_max"} <= {b[0] for b in blocks}
+    assert all(len(b) == 4 for b in blocks)  # the header and three points
+
+
+@pytest.mark.parametrize("R", [3.5, 0.0, math.nan, math.inf])
+def test_lattice_preset_rejects_a_fractional_period_count(R):
+    # R = 3.5 used to run as R = 3 (box side 4 * int(R))
+    with pytest.raises(ValueError, match=re.escape(f"R={R!r}")):
+        run_study("lattice", [3, R])
 
 
 def test_sweep_periodic_tensor_tiny():
