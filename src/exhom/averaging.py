@@ -340,13 +340,33 @@ def _window_tensors(grids, bc, A_p, primal, dual, filt, L, centers, project):
     return mats, means_p, means_d, masses
 
 
+def _check_bundle(bundle: CorrectorBundle, field: CoefficientField, R: float, n: int, T: float, k: int) -> None:
+    """Raise ValueError unless `bundle` holds `field` (by name) at T and level k on an n x n-cell box of half-width R.
+
+    The bundle's box may sit anywhere: the tensor is taken on its grid,
+    about its centre.
+    """
+    g = bundle.grid
+    checks = {
+        "field": (field.name, bundle.field.name, field.name == bundle.field.name),
+        "R": (R, g.R, math.isclose(R, g.R, rel_tol=1e-12)),
+        "n": (n, (g.nx, g.ny), g.nx == g.ny == n),
+        "T": (T, bundle.T, T == bundle.T),
+        "k": (k, bundle.k, k == bundle.k),
+    }
+    wrong = [f"{key}={given!r} (bundle: {held!r})" for key, (given, held, ok) in checks.items() if not ok]
+    if wrong:
+        raise ValueError("the corrector bundle does not match the tensor's arguments: " + ", ".join(wrong))
+
+
 def _hom_tensor(field, R, n, T, k, L, filt, rel_tol, project, bundle=None):
     _check_L(L)
     if L > R:
         raise ValueError(f"averaging window L={L} exceeds the box half-width R={R}")
-    grid = StructuredGrid.square(R, n)
     if bundle is None:
-        bundle = solve_corrector_bundle(field, grid, T, k, rel_tol=rel_tol)
+        bundle = solve_corrector_bundle(field, StructuredGrid.square(R, n), T, k, rel_tol=rel_tol)
+    else:
+        _check_bundle(bundle, field, R, n, T, k)
     primal = [s.u for s in bundle.primal]
     dual = primal if bundle.dual is bundle.primal else [s.u for s in bundle.dual]
     mat, min_eig, means, mass = _tensor_from_gradients(bundle.grid, bundle.A_p, primal, dual, filt, L, project)
@@ -380,7 +400,9 @@ def hom_tensor_prime(
 
     T = inf with k = 1 and the order-0 filter reproduces the naive Dirichlet
     approximation.  An existing CorrectorBundle can be passed to reuse
-    solves across windows, filters, and extrapolation levels.
+    solves across windows and filters; it must hold the same field (by
+    name), box size (R, n), T and level k (`bundle.at_level(k)` views
+    another level), else ValueError.  Its box may have any centre.
     """
     return _hom_tensor(field, R, n, T, k, L, filt, rel_tol, project=False, bundle=bundle)
 
@@ -401,6 +423,6 @@ def hom_tensor_projected(
     Subtracting the filtered gradient means before forming the bilinear form
     guarantees min sym eig >= alpha * (clipped filter mass) for symmetric
     fields, for every parameter choice; the subtracted means are recorded in
-    the diagnostics.
+    the diagnostics.  A `bundle` must match as for `hom_tensor_prime`.
     """
     return _hom_tensor(field, R, n, T, k, L, filt, rel_tol, project=True, bundle=bundle)

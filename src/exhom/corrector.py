@@ -23,9 +23,11 @@ previous rung.  The directions of a rung are independent problems on one
 read-only hierarchy, so on an operator with coarse levels they run at the
 same time when the process may use more than one CPU: the calling thread
 solves the first direction and helper threads the others.  The sparse
-products of the V-cycle release the interpreter lock, so the directions
-overlap.  A single-level system (an HMM patch batch) is one direct band
-solve whose LAPACK calls hold the lock, so its directions run in turn.
+products of the V-cycle and the Krylov loop (DIA levels, CSR
+restrictions), their dot products and their vector updates release the
+interpreter lock, so the directions overlap.  A single-level system (an
+HMM patch batch) is one direct band solve whose LAPACK calls hold the
+lock, so its directions run in turn.
 Every direction performs the same arithmetic either way, and the results
 are bitwise those of the serial run.
 

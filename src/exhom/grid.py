@@ -16,11 +16,12 @@ stencil table (B, cx, cy, 3, 3), each torus node's couplings to its
 neighbour offsets, read by free dof (i, j) at node (i mod cx, j mod cy).
 The mass M = diag(w) (x) Mx (x) My, for Q1 the 1-D P1 masses of unit cells
 with w = hx hy and for the lattice identities with w = 1, is held as 1-D
-tables on the same torus.  Every matrix of a level is one gather of a table
-onto the level's CSR pattern, built once, so K, M and every shift K + s M
-share their index arrays, and a dyadic ladder in T re-assembles nothing.
-Every index array of the hierarchy is int32; a batch whose tables would
-need larger indices is refused (`_check_int32`).
+tables on the same torus.  Every matrix of a level (K, M, a shift K + s M)
+is written from its table in diagonal (DIA) storage, one diagonal per
+neighbour offset, so it holds no index per entry, and a dyadic ladder in T
+re-assembles nothing but the shifted table's diagonals.  The restrictions
+are CSR with int32 indices; a batch that would need larger indices is
+refused (`_check_int32`).
 
 The assembly carries a leading batch axis: an operator is built for a
 batch of grids that share their cell counts (nx, ny) and bc, each with its
@@ -33,7 +34,8 @@ dofs.  A batch holds about 0.8 KB per dof while it is assembled, so
 callers bound its size (`hmm.BATCH_DOFS`).
 
 `solve` is the one Krylov entry point: conjugate gradients for symmetric
-systems, BiCGStab otherwise, preconditioned by a geometric multigrid
+systems, BiCGStab otherwise (`_cg`, `_bicgstab`, written here and updating
+their vectors in place), preconditioned by a geometric multigrid
 V-cycle whose bottom level is factorized outright.  The hierarchy halves the
 grid (bilinear prolongation P = Px (x) Py, wrapping around on periodic
 grids) while both cell counts are at least 4 and one block of the level
@@ -72,7 +74,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .coeffs import CoefficientField
@@ -222,13 +223,15 @@ class StructuredGrid:
 class SparseSystem:
     """Assembled linear system on the free dofs.
 
-    `multigrid` is the preconditioner hierarchy; a system without one (or
-    without a grid) is solved as a single level.  A system of `blocks` > 1
-    is block-diagonal with equal blocks (a batch of grids, `grid` None),
-    and `solve` meets its tolerance on every block.
+    `matrix` is any scipy sparse matrix; an operator's systems hold it in
+    DIA storage, and pinned ones in CSR.  `multigrid` is the preconditioner
+    hierarchy; a system without one (or without a grid) is solved as a
+    single level.  A system of `blocks` > 1 is block-diagonal with equal
+    blocks (a batch of grids, `grid` None), and `solve` meets its tolerance
+    on every block.
     """
 
-    matrix: sp.csr_matrix
+    matrix: sp.spmatrix
     rhs: np.ndarray
     symmetric: bool
     grid: Optional[StructuredGrid] = None
@@ -353,13 +356,13 @@ def _runs_csr(mx: int, my: int, row, shift, dtypes, B: int, steps) -> tuple:
     the largest step and the entry count do.
     """
     parts = [(x0, x1, [row(x0, y0, y1) for y0, y1 in _runs(my)]) for x0, x1 in _runs(mx)]
-    counts = np.empty((B, mx, my), dtype=np.int32)
+    counts = np.empty((mx, my), dtype=np.int32)  # entries per row of one block
     for x0, x1, p in parts:
         for (y0, y1), q in zip(_runs(my), p):
-            counts[:, x0:x1, y0:y1] = q[0].shape[1]
-    _check_int32(max(B * max(steps) - 1, int(counts.sum(dtype=np.int64))))
-    indptr = np.zeros(counts.size + 1, dtype=np.int32)
-    np.cumsum(counts.ravel(), out=indptr[1:])
+            counts[x0:x1, y0:y1] = q[0].shape[1]
+    _check_int32(max(B * max(steps) - 1, B * int(counts.sum(dtype=np.int64))))
+    indptr = np.zeros(B * counts.size + 1, dtype=np.int32)
+    np.cumsum(np.tile(counts.ravel(), B), out=indptr[1:])
     nnz = indptr[mx * my]
     out = [np.empty((B, nnz), dtype=dt) for dt in dtypes]
     for x0, x1, p in parts:
@@ -371,49 +374,20 @@ def _runs_csr(mx: int, my: int, row, shift, dtypes, B: int, steps) -> tuple:
     return indptr, [a.ravel() for a in out]
 
 
-def _neighbour_offsets(k: int, n: int, periodic: bool) -> tuple:
-    """Offsets in -1..1 of free node k's neighbours on an axis of n cells, sorted by the neighbour's index.
+def _neighbour_runs(m: int, periodic: bool) -> list:
+    """(d, start, stop, shift): free nodes start..stop-1 of an m-node axis meet their neighbour at d at node + shift.
 
-    On a periodic axis of two cells both neighbours are one node, stored at
-    offset -1 (`_Level.matrix` folds +1 onto it).
+    A periodic axis wraps: its last node's neighbour at +1 is node 0, and
+    its first node's at -1 node m - 1.  On a periodic axis of two cells both
+    neighbours are one node, stored at offset -1 (`_Level.matrix` folds +1
+    onto it).
     """
-    if periodic:
-        return tuple(sorted((-1, 0) if n == 2 else (-1, 0, 1), key=lambda d: (k + d) % n))
-    return tuple(d for d in (-1, 0, 1) if 0 <= k + d < n - 1)
-
-
-def _stencil_pattern(nx: int, ny: int, bc: str, B: int, periods=None, used=None) -> tuple:
-    """CSR pattern of a block-diagonal stencil matrix and the gather that fills it: (indices, indptr, gather).
-
-    Free dof (i, j) stores its neighbours' offsets (dx, dy) that `used` (3 x
-    3, default all) marks, sorted by column.  `gather` holds, per entry, its
-    flat position in a (B, tx, ty, 3, 3) table: free dof (i, j) of block b
-    reads [b, (i + lo) mod tx, (j + lo) mod ty], lo its first free node (0
-    periodic, 1 Dirichlet), or without `periods` the (B * n, 9) rows of the
-    free dofs themselves.
-    """
-    periodic = bc == "periodic"
-    mx, my = _free_extents(nx, ny, bc)
-    lo = 0 if periodic or periods is None else 1
-    tx, ty = (mx, my) if periods is None else periods
-    d = np.arange(-1, 2)
-    # per axis and offset: the neighbour's column part and the table position part
-    col_x = ((np.arange(mx)[:, None] + d) % mx * my).astype(np.int32)
-    col_y = ((np.arange(my)[:, None] + d) % my).astype(np.int32)
-    pos_x = ((lo + np.arange(mx)) % tx)[:, None] * (9 * ty) + 3 * (d + 1)
-    pos_y = ((lo + np.arange(my)) % ty)[:, None] * 9 + (d + 1)
-    used = np.ones((3, 3), dtype=bool) if used is None else used
-
-    def row(x0, y0, y1):
-        ax, ay = np.array([(a + 1, b + 1) for a in _neighbour_offsets(x0, nx, periodic)
-                           for b in _neighbour_offsets(y0, ny, periodic) if used[a + 1, b + 1]]).T
-        return col_x[x0, ax] + col_y[y0:y1, ay], pos_x[x0, ax] + pos_y[y0:y1, ay]
-
-    def shift(x0, x1):
-        return np.arange(x1 - x0, dtype=np.int32) * my, pos_x[x0:x1, 1] - pos_x[x0, 1]
-
-    indptr, (indices, gather) = _runs_csr(mx, my, row, shift, (np.int32, np.int32), B, (mx * my, 9 * tx * ty))
-    return indices, indptr, gather
+    out = []
+    for d in (-1, 0) if periodic and m == 2 else (-1, 0, 1):
+        out.append((d, max(0, -d), m - max(0, d), d))
+        if periodic and d:
+            out.append((d, m - 1, m, d - m) if d > 0 else (d, 0, 1, d + m))
+    return [r for r in out if r[1] < r[2]]
 
 
 def _stencil_data(grids, bc: str, local: np.ndarray) -> np.ndarray:
@@ -491,27 +465,21 @@ def _reflect(K: np.ndarray) -> np.ndarray:
 
 
 class _Level:
-    """One grid of the hierarchy: K and M as stencil tables, and the pattern every matrix of it shares.
+    """One grid of the hierarchy: K and M as stencil tables, from which each of its matrices is written by diagonal.
 
     `K` is a (B, tx, ty, 3, 3) table: per block and node (r, s) of a tx x ty
     torus, the couplings to the neighbour offsets (dx, dy); free dof (i, j)
-    reads node (i mod tx, j mod ty) (`_period_index`), at the int32
-    position `rows` of the flattened nodes.  `mass` = (w, mx, my) gives M =
-    diag(w) (x) mx (x) my from 1-D tables on the same torus, and `M` is its
-    table.  The pattern stores the offsets nonzero somewhere in K, M or
-    their reflections, so K, M, K + s M and K^T (`transposed`) are each one
-    gather of a table onto it (`matrix`).
+    reads node (i mod tx, j mod ty), as `_period_index` numbers them.
+    `mass` = (w, mx, my) gives M = diag(w) (x) mx (x) my from 1-D tables on
+    the same torus, and `M` is its table.  K, M, K + s M and K^T
+    (`transposed`) are each written from their table by `matrix`; the level
+    holds no index array.
     """
 
     def __init__(self, shape, bc: str, K: np.ndarray, mass):
         self.shape, self.bc, self.K, self.mass = shape, bc, K, mass
         w, mx, my = mass
         self.M = w[:, None, None, None, None] * (mx[:, None, :, None] * my[None, :, None, :])
-        used = (np.count_nonzero(K.reshape(-1, 9), axis=0).reshape(3, 3) > 0) | np.outer(mx.any(0), my.any(0))
-        B, tx, ty = K.shape[:3]
-        self.indices, self.indptr, self.gather = _stencil_pattern(*shape, bc, B, (tx, ty), used | used[::-1, ::-1])
-        # below 9 B tx ty, which the gather's int32 range check covered
-        self.rows = ((tx * ty) * np.arange(B)[:, None] + _period_index(*shape, bc, (tx, ty))).ravel().astype(np.int32)
 
     def coarse(self) -> "_Level":
         p, (w, mx, my) = self.bc == "periodic", self.mass
@@ -525,13 +493,38 @@ class _Level:
         t.K = _reflect(self.K)
         return t
 
-    def matrix(self, table: np.ndarray) -> sp.csr_matrix:
-        """The level's CSR matrix of a table laid out like K."""
+    def matrix(self, table: np.ndarray) -> sp.dia_matrix:
+        """The level's matrix of a table laid out like K, in DIA storage.
+
+        Free dof (i, j) meets its neighbour at offset (dx, dy) on diagonal
+        dx my + dy, my the free extent along y, or, where a periodic axis
+        wraps, on a wrap diagonal (`_neighbour_runs`); offsets that never
+        meet on one row share a diagonal.  Only the offsets nonzero
+        somewhere in the table are stored, in increasing order, so that a
+        product sums each row in the order of its columns, as CSR does.
+        Each diagonal is a slice of the table tiled over the free dofs by
+        one `take` per axis.
+        """
+        periodic = self.bc == "periodic"
         for axis, n in zip((-2, -1), self.shape):
-            if self.bc == "periodic" and n == 2:  # offset +1 reaches the node that -1 does
+            if periodic and n == 2:  # offset +1 reaches the node that -1 does
                 table = np.concatenate([table.take([0], axis) + table.take([2], axis), table.take([1, 2], axis)], axis)
-        n = self.rows.size
-        return sp.csr_matrix((table.ravel()[self.gather], self.indices, self.indptr), shape=(n, n))
+        B, tx, ty = table.shape[:3]
+        mx, my = _free_extents(*self.shape, self.bc)
+        lo = 0 if periodic else 1
+        ix, iy = (lo + np.arange(mx)) % tx, (lo + np.arange(my)) % ty
+        used = table.reshape(-1, 9).any(axis=0).reshape(3, 3)
+        runs = [(rx, ry) for rx, ry in itertools.product(_neighbour_runs(mx, periodic), _neighbour_runs(my, periodic))
+                if used[rx[0] + 1, ry[0] + 1]]
+        offsets = sorted({rx[3] * my + ry[3] for rx, ry in runs})
+        data = np.zeros((len(offsets), B, mx, my))
+        for (dx, x0, x1, sx), (dy, y0, y1, sy) in runs:
+            # DIA stores entry (row, row + k) of diagonal k at column row + k
+            values = np.take(table[..., dx + 1, dy + 1], ix[x0:x1], axis=1)
+            diagonal = data[offsets.index(sx * my + sy)]
+            diagonal[:, x0 + sx : x1 + sx, y0 + sy : y1 + sy] = np.take(values, iy[y0:y1], axis=2)
+        n = B * mx * my
+        return sp.dia_matrix((data.reshape(len(offsets), n), offsets), shape=(n, n))
 
 
 def _q1_stiffness_local(grids, A_q: np.ndarray) -> np.ndarray:
@@ -643,9 +636,9 @@ def _restriction(px: sp.csr_matrix, py: sp.csr_matrix, B: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(B * mx * my, B * nfx * nfy))
 
 
-def _pin(A: sp.csr_matrix) -> sp.csr_matrix:
-    """Drop dof 0 (the pinned periodic node) from rows and columns."""
-    return A[1:, 1:].tocsr()
+def _pin(A: sp.spmatrix) -> sp.csr_matrix:
+    """Drop dof 0 (the pinned periodic node) from rows and columns, in CSR."""
+    return A.tocsr()[1:, 1:].tocsr()
 
 
 def _fold(n: int) -> np.ndarray:
@@ -689,17 +682,18 @@ class _BandFactor:
     the widest couplings below and above the diagonal in that numbering,
     set the storage, (ku + 1) x n for Cholesky and (2 kl + ku + 1) x n for
     LU, and the cost, about n ku^2 and n kl (kl + ku).  The band is filled
-    straight from the CSR arrays, summing duplicate entries, and the
+    from the matrix's entries (`tocoo`), summing duplicate entries, and the
     caller's matrix is left as it is.
     """
 
-    def __init__(self, A: sp.csr_matrix, symmetric: bool, order: Optional[np.ndarray] = None):
+    def __init__(self, A: sp.spmatrix, symmetric: bool, order: Optional[np.ndarray] = None):
         n = A.shape[0]
         self.order = np.arange(n) if order is None else order
         place = np.empty(n, dtype=np.intp)
         place[self.order] = np.arange(n)
-        cols = place[A.indices]
-        d = cols - place[np.repeat(np.arange(n), np.diff(A.indptr))]
+        A = A.tocoo()
+        cols = place[A.col]
+        d = cols - place[A.row]
         self.kl, self.ku = int(max(0, -d.min(initial=0))), int(max(0, d.max(initial=0)))
         self.cholesky = bool(symmetric)
         if self.cholesky:
@@ -785,17 +779,20 @@ class CorrectorOperator:
     table `stiffness` (B, tx, ty, 3, 3) and `mass` = (w, mx, my), M =
     diag(w) (x) mx (x) my: P1 masses of unit cells for Q1 (`from_field`),
     identities for the lattice; the coarse ones are built when a system is
-    first requested.  `K` and `M` are the finest level's matrices.  Also
-    held: the loads b_i for xi = e_i (rhs for any xi is xi . b), the
-    restrictions I_B (x) Px^T (x) Py^T and their transposes, and, when built
+    first requested.  `K` and `M` are the finest level's matrices, written
+    in DIA storage on each access, as are the matrices of every system.
+    Also held: the loads b_i for xi = e_i (rhs for any xi is xi . b), the
+    restrictions I_B (x) Px^T (x) Py^T (CSR, int32 indices) and their
+    transposes, and, when built
     from a field, `A_p`: the coefficient at the quadrature points of one
     period (B, cx, cy, 4, 2, 2), which cell (i, j) of every grid reads at
     (i mod cx, j mod cy); a field without a period, or one whose period does
     not tile the grid, has the whole grid as its period.  No array with an
-    entry per Gauss point of the grid is kept.  Each call of `systems`
-    builds one shift's hierarchy, shared by the systems it returns, on a
-    band factorization of its bottom level (Cholesky when the field is
-    symmetric).
+    entry per Gauss point of the grid, and no index array per matrix
+    entry, is kept.  Each call of `systems` builds one shift's hierarchy,
+    shared by the systems it returns: the levels' matrices, their Jacobi
+    diagonals (each matrix's offset-0 diagonal) and a band factorization
+    of the bottom level (Cholesky when the field is symmetric).
     """
 
     def __init__(self, grids, bc, stiffness, mass, loads, symmetric, A_p=None):
@@ -838,11 +835,11 @@ class CorrectorOperator:
         return cls(grids, bc, K, mass, _tiled_loads(grids, bc, A_p), field.is_symmetric, A_p=A_p)
 
     @property
-    def K(self) -> sp.csr_matrix:
+    def K(self) -> sp.dia_matrix:
         return self.matrix(0.0)
 
     @property
-    def M(self) -> sp.csr_matrix:
+    def M(self) -> sp.dia_matrix:
         return self.levels[0].matrix(self.levels[0].M)
 
     def _all_levels(self) -> list:
@@ -881,8 +878,8 @@ class CorrectorOperator:
         fq = np.stack([np.asarray(f(g.quad_points()), dtype=float).reshape(-1, 4) for g in self.grids])
         return _cell_sum(self.grids, self.bc, _quad_weights(self.grids)[:, None, None] * fq @ N)
 
-    def matrix(self, inv_T: float) -> sp.csr_matrix:
-        """K + inv_T M on the free dofs."""
+    def matrix(self, inv_T: float) -> sp.dia_matrix:
+        """K + inv_T M on the free dofs, in DIA storage."""
         level = self.levels[0]
         return level.matrix(_shifted(level, inv_T))
 
@@ -898,9 +895,8 @@ class CorrectorOperator:
         pinned = self.bc == "periodic" and inv_T == 0.0
         if pinned and self.grid is None:
             raise ValueError("a batch of periodic grids needs a positive shift (no pinning)")
-        tables = [(level, _shifted(level, inv_T)) for level in self._all_levels()]
-        levels = [level.matrix(table) for level, table in tables]
-        diagonals = [table[..., 1, 1].ravel()[level.rows][int(pinned):] for level, table in tables[:-1]]
+        levels = [level.matrix(_shifted(level, inv_T)) for level in self._all_levels()]
+        diagonals = [A.diagonal()[int(pinned):] for A in levels[:-1]]
         R = self.restrictions
         if pinned:
             levels, R = ([_pin(A) for A in mats] for mats in (levels, R))
@@ -945,15 +941,17 @@ def solve(
 ) -> DofVector:
     """Krylov solve to ||b - A x|| <= rel_tol ||b||.
 
-    CG when the system is flagged symmetric, BiCGStab otherwise, both
-    preconditioned by the system's multigrid V-cycle (one level when it has
-    none).  A single level is a direct band solve, so the Krylov method
-    stops after one iteration.  A zero right-hand side short-circuits to
-    the zero vector; one whose norm is NaN or inf raises ValueError.
+    CG when the system is flagged symmetric, BiCGStab otherwise (`_cg`,
+    `_bicgstab`), both preconditioned by the system's multigrid V-cycle (one
+    level when it has none).  A single level is a direct band solve, so the
+    Krylov method stops after one iteration.  A zero right-hand side
+    short-circuits to the zero vector; one whose norm is NaN or inf raises
+    ValueError.
 
     A pinned system (periodic, no shift) leaves free dof 0 out of its
     matrix and right-hand side; the result puts it back as zero, so it
-    covers every free dof, and a warm start `x0` does too.
+    covers every free dof, and a warm start `x0` does too.  `x0` itself is
+    left as it is.
 
     A system of several blocks is solved equilibrated: each block's
     right-hand side and warm start are scaled to unit norm (the blocks do
@@ -963,8 +961,12 @@ def solve(
     solved to the same relative accuracy, and the stacked system meets
     rel_tol too.  A block with a zero right-hand side returns zero.
 
-    Raises SolverError carrying the achieved relative residual (of the
-    worst block) on non-convergence.
+    The Krylov loop tracks a recursively updated residual, which can drift
+    a little from the true one, so the solve checks the true relative
+    residual of every block at the end and restarts from the current
+    iterate, up to four calls in all, until it meets rel_tol.  Raises
+    SolverError carrying the achieved relative residual (of the worst
+    block) on non-convergence.
 
     Safe to call from several threads at once on systems that share one
     hierarchy (the systems of one `CorrectorOperator.systems` call): the
@@ -985,25 +987,17 @@ def solve(
         x0 = x0[pin:]
     A = system.matrix
     mg = system.multigrid if system.multigrid is not None else _Multigrid([A], system.symmetric)
-    M = spla.LinearOperator(A.shape, matvec=mg, dtype=float)
-    krylov = spla.cg if system.symmetric else spla.bicgstab
-    x, ref = x0, bnorms  # ref: the block norms of the right-hand side solved for
+    krylov = _cg if system.symmetric else _bicgstab
     if blocks == 1:
-        tol = dict(rtol=rel_tol, atol=0.0)
+        x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
+        atol, ref = rel_tol * np.linalg.norm(b), bnorms  # ref: the block norms of the right-hand side solved for
     else:
         scale = np.divide(1.0, bnorms, out=np.zeros_like(bnorms), where=bnorms > 0)
         b = _blockwise(b, scale)
-        x = None if x0 is None else _blockwise(x0, scale)
-        tol = dict(rtol=0.0, atol=rel_tol)
-        ref = (bnorms > 0).astype(float)
-    # scipy tracks a recursively updated residual that can drift a little
-    # from the true one; restart from the current iterate until the true
-    # relative residual of every block meets the contract
+        x = np.zeros_like(b) if x0 is None else _blockwise(x0, scale)
+        atol, ref = rel_tol, (bnorms > 0).astype(float)
     for attempt in range(4):
-        kw = dict(tol, maxiter=max_iter, M=M)
-        if x is not None:
-            kw["x0"] = x
-        x, info = krylov(A, b, **kw)
+        _, converged = krylov(A, mg, b, x, atol, max_iter)
         r = A @ x
         rnorms = np.linalg.norm(np.subtract(b, r, out=r).reshape(blocks, -1), axis=1)
         res = np.divide(rnorms, ref, out=np.zeros_like(rnorms), where=ref > 0)
@@ -1013,7 +1007,7 @@ def solve(
             if pin:
                 x = np.concatenate([[0.0], x])
             return DofVector(x, system.grid, system.bc)
-        if info != 0:
+        if not converged:
             break
     worst = int(np.argmax(res))
     where = f" on block {worst} of {blocks}" if blocks > 1 else ""
@@ -1021,6 +1015,82 @@ def solve(
         f"Krylov solver did not reach rel_tol={rel_tol:g}{where} (achieved {res[worst]:.3e})",
         residual=float(res[worst]),
     )
+
+
+# The two Krylov loops solve A x = b from the given x, which they update in
+# place, until the recursively updated residual r has ||r|| < atol, and
+# return (iterations, converged).  M applies the preconditioner.  They do
+# scipy.sparse.linalg's cg and bicgstab arithmetic (scipy 1.17) in the same
+# order, so their iterates are bitwise those.  Only the products A v and M v
+# allocate; each product's vector serves as scratch once it is dead and is
+# dropped at once, so a CG holds three vectors besides b and the transient
+# ones, and a BiCGStab four.
+
+
+def _cg(A, M, b: np.ndarray, x: np.ndarray, atol: float, maxiter: int) -> tuple:
+    """Preconditioned conjugate gradients (see the note above)."""
+    r = b - A @ x if x.any() else b.copy()
+    for it in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return it, True
+        z = M(r)
+        rho = np.dot(r, z)
+        if it:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z  # the V-cycle's fresh vector
+        del z
+        q = A @ p
+        alpha = rho / np.dot(p, q)
+        r -= np.multiply(alpha, q, out=q)
+        x += np.multiply(alpha, p, out=q)
+        del q
+        rho_prev = rho
+    return maxiter, False
+
+
+def _bicgstab(A, M, b: np.ndarray, x: np.ndarray, atol: float, maxiter: int) -> tuple:
+    """Preconditioned BiCGStab (see the note above); a breakdown returns unconverged."""
+    r = b - A @ x if x.any() else b.copy()
+    rtilde = r.copy()
+    breakdown = np.finfo(float).eps ** 2
+    for it in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return it, True
+        rho = np.dot(rtilde, r)
+        if np.abs(rho) < breakdown:
+            return it, False
+        if it:
+            if np.abs(omega) < breakdown:
+                return it, False
+            beta = (rho / rho_prev) * (alpha / omega)
+            p -= np.multiply(omega, v, out=v)
+            p *= beta
+            p += r
+            del v
+        else:
+            p = r.copy()
+        phat = M(p)
+        v = A @ phat
+        rv = np.dot(rtilde, v)
+        if rv == 0:
+            return it, False
+        alpha = rho / rv
+        x += np.multiply(alpha, phat, out=phat)  # scipy adds this once it has omega, or at the half step
+        r -= np.multiply(alpha, v, out=phat)
+        del phat
+        # scipy copies r into s here, and tests and smooths the copy
+        if np.linalg.norm(r) < atol:
+            return it + 1, True
+        shat = M(r)
+        t = A @ shat
+        omega = np.dot(t, r) / np.dot(t, t)
+        x += np.multiply(omega, shat, out=shat)
+        r -= np.multiply(omega, t, out=t)
+        del shat, t
+        rho_prev = rho
+    return maxiter, False
 
 
 def _blockwise(v: np.ndarray, scale: np.ndarray) -> np.ndarray:

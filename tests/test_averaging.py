@@ -384,3 +384,26 @@ def test_windowed_tensor_on_a_clipped_patch_window():
     got = _tensor_from_gradients(grid, b.A_p, primal, dual, filt, 0.5 * H, True, center=center)[0]
     ref = _full_grid_tensor(grid, field, primal, dual, filt, 0.5 * H, True, center)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_tensor_refuses_a_bundle_solved_for_other_arguments():
+    # a level-1 view of a k = 2 ladder on the mat2 box R = 2, n = 32 at T = 0.5
+    field, filt = catalog("mat2"), build_filter(3)
+    bundle = solve_corrector_bundle(field, StructuredGrid.square(2.0, 32), 0.5, 1, rel_tol=1e-8, kmax=2)
+    k1 = hom_tensor_prime(field, 2.0, 32, 0.5, 1, 1.0, filt, bundle=bundle)
+    k2 = hom_tensor_prime(field, 2.0, 32, 0.5, 2, 1.0, filt, bundle=bundle.at_level(2))
+    assert k1.matrix[0, 0] != k2.matrix[0, 0] and k2.params["k"] == 2
+    # the box may sit anywhere
+    moved = solve_corrector_bundle(field, StructuredGrid.square(2.0, 32, center=(0.5, -1.0)), 0.5, 1, rel_tol=1e-8)
+    assert hom_tensor_projected(field, 2.0, 32, 0.5, 1, 1.0, filt, bundle=moved).params["n"] == 32
+    wrong = {
+        "k=2": dict(k=2),
+        "R=5.0 .*, n=80 .*, T=9.0": dict(R=5.0, n=80, T=9.0),
+        "T=0.25": dict(T=0.25),
+        "field='mat4'": dict(field=catalog("mat4")),
+    }
+    for match, change in wrong.items():
+        args = {**dict(field=field, R=2.0, n=32, T=0.5, k=1, L=1.0, filt=filt), **change}
+        for tensor in (hom_tensor_prime, hom_tensor_projected):
+            with pytest.raises(ValueError, match=match):
+                tensor(**args, bundle=bundle)

@@ -63,7 +63,7 @@ def test_mass_matrix_rowsum_and_diagonal():
     # hand-assembled 4-cell patch: row sum h^2, diagonal 4 h^2 / 9
     g = StructuredGrid.square(1.0, 4)
     op = CorrectorOperator.from_field(g, catalog("constant:1"))
-    M = op.M
+    M = op.M.tocsr()
     h = g.h
     center = 4  # node (2,2) of the 3x3 interior
     assert M[center].sum() == pytest.approx(h * h, rel=1e-12)

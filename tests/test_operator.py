@@ -7,6 +7,7 @@ Krylov methods.
 """
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -16,8 +17,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from exhom.averaging import _tensor_from_gradients, build_filter, solve_corrector_bundle
+from exhom import grid as grid_module
 from exhom.coeffs import catalog
-from exhom.corrector import richardson_combine
+from exhom.corrector import richardson_combine, solve_ladder
 from exhom.grid import (
     BAND_ENTRIES,
     CorrectorOperator,
@@ -25,11 +27,12 @@ from exhom.grid import (
     SolverError,
     SparseSystem,
     StructuredGrid,
+    _Level,
     _prolongation_1d,
     _q1_loads,
     _q1_stiffness_local,
+    _restriction,
     _stencil_data,
-    _stencil_pattern,
     solve,
 )
 from exhom.lattice import _lattice_operator, default_pattern, lattice_hom
@@ -78,19 +81,29 @@ def _jacobi_krylov(A, b, rel_tol, symmetric=True, x0=None):
 
 @pytest.fixture
 def krylov_iterations(monkeypatch):
-    """Count the Krylov iterations of every scipy cg/bicgstab call."""
+    """Count the iterations of every Krylov loop (`grid._cg`, `grid._bicgstab`) that `solve` runs."""
     count = [0]
-    for name in ("cg", "bicgstab"):
-        original = getattr(spla, name)
+    for name in ("_cg", "_bicgstab"):
+        def counting(*args, _original=getattr(grid_module, name)):
+            iterations, converged = _original(*args)
+            count[0] += iterations
+            return iterations, converged
 
-        def counting(A, b, *args, _original=original, **kwargs):
-            def callback(xk):
-                count[0] += 1
-
-            return _original(A, b, *args, callback=callback, **kwargs)
-
-        monkeypatch.setattr(spla, name, counting)
+        monkeypatch.setattr(grid_module, name, counting)
     return count
+
+
+@pytest.fixture
+def v_cycles(monkeypatch):
+    """One entry per preconditioner application (V-cycle, or direct bottom solve), from any thread."""
+    calls, original = [], grid_module._Multigrid.__call__
+
+    def counting(self, r):
+        calls.append(1)
+        return original(self, r)
+
+    monkeypatch.setattr(grid_module._Multigrid, "__call__", counting)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -139,7 +152,7 @@ def test_batch_blocks_match_cellwise_assembly(bc, shifts):
     xi = np.array([0.6, -0.8])
     assert batch.grid is None and len(batch.grids) == 3
     for inv_T in shifts:
-        A = batch.matrix(inv_T)
+        A, A_t = batch.matrix(inv_T).tocsr(), batch.transpose().matrix(inv_T).tocsr()
         nnz = 0
         for b, g in enumerate(grids):
             K_ref, b_ref = _reference_system(g, field, inv_T, xi, bc)
@@ -148,7 +161,7 @@ def test_batch_blocks_match_cellwise_assembly(bc, shifts):
             assert abs(A[blk, blk] - K_ref).max() <= 1e-13 * abs(K_ref).max()
             assert np.abs(batch.rhs(xi)[blk] - b_ref).max() <= 1e-13 * np.abs(b_ref).max()
             K_t, b_t = _reference_system(g, field.transpose(), inv_T, xi, bc)
-            assert abs(batch.transpose().matrix(inv_T)[blk, blk] - K_t).max() <= 1e-13 * abs(K_t).max()
+            assert abs(A_t[blk, blk] - K_t).max() <= 1e-13 * abs(K_t).max()
             # a batch of one is the one-grid operator
             one = CorrectorOperator.from_field([g], field, bc)
             assert one.grid is g
@@ -201,18 +214,38 @@ def test_tiled_operator_matches_cellwise_assembly(name, bc, grid, cells):
         assert np.abs(A_q[b] - field(g.quad_points()).reshape(-1, 4, 2, 2)).max() <= 1e-12 * np.abs(A_q).max()
         for o, f in ((op, field), (dual, field.transpose())):
             K_ref, _ = _reference_system(g, f, inv_T, np.zeros(2), bc)
-            assert abs(o.matrix(inv_T)[block, block] - K_ref).max() <= 1e-12 * abs(K_ref).max()
+            assert abs(o.matrix(inv_T).tocsr()[block, block] - K_ref).max() <= 1e-12 * abs(K_ref).max()
             for x, xi in enumerate(np.eye(2)):
                 _, b_ref = _reference_system(g, f, inv_T, xi, bc)
                 assert np.abs(o.loads[x, block] - b_ref).max() <= 1e-12 * np.abs(b_ref).max()
+
+
+def _stencil_rows_matrix(rows, nx, ny, bc, B):
+    """CSR of nine-point rows (B * n, 9) on the free dofs: entry (dx, dy) of dof (i, j) at dof (i + dx, j + dy).
+
+    A Dirichlet row drops its neighbours on the boundary, a periodic one
+    wraps around; explicit zeros are dropped.
+    """
+    periodic = bc == "periodic"
+    mx, my = (nx, ny) if periodic else (nx - 1, ny - 1)
+    b, i, j = (a.ravel() for a in np.meshgrid(np.arange(B), np.arange(mx), np.arange(my), indexing="ij"))
+    entries = []
+    for k, (dx, dy) in enumerate(itertools.product((-1, 0, 1), repeat=2)):
+        p, q = i + dx, j + dy
+        keep = np.ones(p.size, dtype=bool) if periodic else (0 <= p) & (p < mx) & (0 <= q) & (q < my)
+        col = (b * mx + p % mx) * my + q % my
+        entries.append((((b * mx + i) * my + j)[keep], col[keep], rows[:, k][keep]))
+    r, c, v = (np.concatenate(a) for a in zip(*entries))
+    K = sp.coo_matrix((v, (r, c)), shape=(B * mx * my,) * 2).tocsr()
+    K.eliminate_zeros()
+    return K
 
 
 def _direct_path(grids, field, bc):
     """K, loads and A_q summed over every cell of every grid, as without a period."""
     A_q = field(np.concatenate([g.quad_points() for g in grids])).reshape(-1, 4, 2, 2)
     rows = _stencil_data(grids, bc, _q1_stiffness_local(grids, A_q))
-    indices, indptr, gather = _stencil_pattern(grids[0].nx, grids[0].ny, bc, len(grids))
-    K = sp.csr_matrix((rows.ravel()[gather], indices, indptr), shape=(indptr.size - 1,) * 2)
+    K = _stencil_rows_matrix(rows, grids[0].nx, grids[0].ny, bc, len(grids))
     return K, _q1_loads(grids, bc, A_q), A_q
 
 
@@ -232,7 +265,9 @@ def test_untiled_operator_is_bitwise_the_direct_sum(name, bc, grid):
     op = CorrectorOperator.from_field(grids, field, bc)
     assert op.A_p.shape[1:3] == grid[:2]
     K, loads, A_q = _direct_path(grids, field, bc)
-    assert np.array_equal(op.K.data, K.data) and np.array_equal(op.K.indices, K.indices)
+    got = op.K.tocsr()  # without its explicit zeros, sorted like the reference
+    assert np.array_equal(got.indptr, K.indptr) and np.array_equal(got.indices, K.indices)
+    assert np.array_equal(got.data, K.data)
     assert np.array_equal(op.loads, loads) and np.array_equal(_on_grid(op.A_p, *grid[:2]), A_q)
     if not field.is_symmetric:
         assert np.array_equal(op.transpose().loads, _q1_loads(grids, bc, np.swapaxes(A_q, -1, -2)))
@@ -251,31 +286,48 @@ def test_field_is_evaluated_on_one_period_per_grid():
     assert op.A_p.shape[1:3] == (8, 4) and calls == [4 * len(grids) * 8 * 4]
 
 
-def test_operator_holds_a_on_one_period_and_int32_indices():
-    # a full-grid A (128 B per cell) or int64 index arrays push the held
-    # bytes per dof over these bounds: 303 and 476 with both
-    field, grid = catalog("mat2"), StructuredGrid.square(4.0, 128)
+def _held_bytes_per_dof(grid, field, bc):
+    """Bytes per dof that an operator holds after `from_field`, and with the systems of one shift."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        op = CorrectorOperator.from_field(grid, field)
+        op = CorrectorOperator.from_field(grid, field, bc)
         after_setup = tracemalloc.get_traced_memory()[0] - base
         systems = op.systems(1.0, [op.rhs(xi) for xi in np.eye(2)])
         with_systems = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
     dofs = systems[0].matrix.shape[0]
-    assert after_setup <= 160 * dofs and with_systems <= 320 * dofs, (after_setup / dofs, with_systems / dofs)
+    return op, after_setup / dofs, with_systems / dofs
+
+
+def test_operator_holds_a_on_one_period_and_int32_indices():
+    # a full-grid A (128 B per cell), an index array per matrix entry (36 B
+    # per dof on the finest level alone) or int64 restriction indices push
+    # the held bytes per dof over these bounds
+    field, grid = catalog("mat2"), StructuredGrid.square(4.0, 128)
+    op, after_setup, with_systems = _held_bytes_per_dof(grid, field, "dirichlet0")
+    assert after_setup <= 75 and with_systems <= 225, (after_setup, with_systems)
     assert op.A_p.shape[1:3] == tuple(np.rint(field.period / grid.h).astype(int)) == (16, 16)
     assert len(op.levels) >= 3
-    for level in op.levels:
-        assert level.gather.dtype == level.rows.dtype == level.indices.dtype == np.int32
+    for level in op.levels:  # no level holds an index array
+        assert not [k for k, v in vars(level).items() if isinstance(v, np.ndarray) and v.dtype.kind in "iu"]
+    for R in op.restrictions:
+        assert R.indices.dtype == R.indptr.dtype == np.int32
+    # a periodic grid's matrices hold their wrap-around couplings on 12 more
+    # diagonals (the other wrap couplings share an inner offset's diagonal)
+    op, after_setup, with_systems = _held_bytes_per_dof(grid, field, "periodic")
+    assert len(op.levels) >= 3 and len(op.K.offsets) == 9 + 12
+    assert after_setup <= 75 and with_systems <= 360, (after_setup, with_systems)
 
 
 def test_index_tables_beyond_int32_are_refused():
-    # a 2^14 x 2^14 stencil table has 9 * 2^28 entries, more than int32 can index
+    # I_B (x) Px^T (x) Py^T for 7 x 7 fine dofs per block: 2^26 blocks hold
+    # 49 * 2^26 fine dofs, more than int32 can index; refused before any
+    # array of the batch's size is allocated
+    px = _prolongation_1d(8, "dirichlet0")
     with pytest.raises(ValueError, match="int32"):
-        _stencil_pattern(4, 4, "periodic", 1, (1 << 14, 1 << 14))
+        _restriction(px, px, 1 << 26)
 
 
 def test_batch_rejects_grids_of_different_shape():
@@ -357,10 +409,9 @@ def test_stiffness_and_mass_share_one_sorted_pattern():
                      (StructuredGrid.from_box((0.0, 1.0, 0.0, 2.0), 9, 2), "periodic")):
         field = catalog("mat4")
         op = CorrectorOperator.from_field(grid, field, bc)
-        assert np.shares_memory(op.K.indices, op.M.indices) and np.shares_memory(op.K.indptr, op.M.indptr)
-        assert op.K.has_canonical_format
+        assert np.array_equal(op.K.offsets, op.M.offsets) and np.all(np.diff(op.K.offsets) > 0)
         M = op.M.copy()
-        op.systems(0.5, [op.rhs((1.0, 0.0))])  # in-place canonicalization would corrupt M
+        op.systems(0.5, [op.rhs((1.0, 0.0))])  # a shift's systems leave M as it is
         assert (op.M != M).nnz == 0
         # the cellwise reference's mass: two large shifts, so the stiffness cancels to roundoff (and
         # neither shift is 0, where the periodic reference pins a node)
@@ -381,7 +432,25 @@ def test_multigrid_iterations_bounded_under_refinement(krylov_iterations, name, 
         res = np.linalg.norm(system.rhs - system.matrix @ u.values) / np.linalg.norm(system.rhs)
         assert res <= 1e-8
         counts.append(krylov_iterations[0])
-    assert max(counts) <= bound, counts
+    assert 0 < min(counts) and max(counts) <= bound, counts
+
+
+@pytest.mark.parametrize(
+    "make, T, rel_tol, bound",
+    [
+        # the lattice-box workload's rungs at side 64 (two levels): 18 V-cycles per solve
+        (lambda: _lattice_operator(default_pattern(), 64), 8.0, 1e-12, 20),
+        # the tensor-ladder workload's rungs on a 96-cell mat2 box (two levels): 6.5
+        (lambda: CorrectorOperator.from_field(StructuredGrid.square(3.0, 96), catalog("mat2")), 0.1, 1e-8, 8),
+    ],
+)
+def test_v_cycles_per_solve_are_bounded(v_cycles, make, T, rel_tol, bound):
+    op = make()
+    assert len(op.shapes) == 2
+    k = 2
+    ladders = solve_ladder(op, T, k, np.eye(2), rel_tol=rel_tol)
+    assert all(len(lad) == k for lad in ladders)
+    assert 0 < len(v_cycles) <= bound * 2 * k, len(v_cycles) / (2 * k)
 
 
 def test_odd_grid_halves_and_solves_in_few_iterations(krylov_iterations):
@@ -494,7 +563,7 @@ def test_lattice_hom_matches_jacobi_reference():
 
 def _dense_solve_of_bottom(system, b):
     """The bottom level solved densely, block by block (every level is block-diagonal)."""
-    A, n = system.multigrid.levels[-1], b.size // system.blocks
+    A, n = system.multigrid.levels[-1].tocsr(), b.size // system.blocks
     blocks = [slice(i * n, (i + 1) * n) for i in range(system.blocks)]
     assert sum(A[blk, blk].nnz for blk in blocks) == A.nnz
     return np.concatenate([np.linalg.solve(A[blk, blk].toarray(), b[blk]) for blk in blocks])
@@ -626,7 +695,7 @@ def test_mass_levels_are_galerkin_products_on_the_stiffness_pattern(make):
     ops = [op] if op.symmetric else [op, op.transpose()]
     for o in ops:
         for K, M in _level_matrices(o):
-            assert np.shares_memory(K.indices, M.indices) and np.shares_memory(K.indptr, M.indptr)
+            assert set(M.offsets) <= set(K.offsets)
     for (_, M), ref in zip(levels[1:], _galerkin_masses(op), strict=True):
         assert abs(M - ref).max() <= 1e-14 * abs(ref).max()
     # the coarse stiffness is the Galerkin product, on the mass's pattern
@@ -642,7 +711,8 @@ def test_mass_levels_are_galerkin_products_on_the_stiffness_pattern(make):
 
 def test_lattice_stiffness_is_five_point():
     op = _lattice_operator(default_pattern(), 64)
-    assert np.diff(op.K.indptr).max() == 5 and np.diff(op.M.indptr).max() == 5
+    assert list(op.K.offsets) == [-63, -1, 0, 1, 63] and list(op.M.offsets) == [0]
+    assert np.diff(op.K.tocsr().indptr).max() == 5
 
 
 @pytest.fixture
@@ -678,14 +748,21 @@ def test_set_up_makes_no_sparse_product(sparse_products, make):
 
 @pytest.mark.parametrize("nx, ny, B", [(2, 2, 1), (2, 7, 1), (9, 2, 2), (5, 5, 3), (17, 11, 1), (24, 24, 4), (40, 33, 2)])
 def test_dirichlet_pattern_is_the_kronecker_product_of_1d_tridiagonal_patterns(nx, ny, B):
-    indices, indptr, slots = _stencil_pattern(nx, ny, "dirichlet0", B)
+    # every entry of a table on a 2 x 3 torus is its own flat index + 1, so
+    # each stored value names the table entry it came from
+    tx, ty = 2, 3
+    table = 1.0 + np.arange(B * tx * ty * 9).reshape(B, tx, ty, 3, 3)
+    A = _Level((nx, ny), "dirichlet0", table, (np.ones(B), np.ones((tx, 3)), np.ones((ty, 3)))).matrix(table)
+    assert A.format == "dia" and A.offsets.dtype == np.int32
+    A = A.tocsr()
     tri = lambda m: sp.csr_matrix(np.abs(np.subtract.outer(np.arange(m), np.arange(m))) <= 1)
     ref = sp.kron(sp.identity(B, format="csr"), sp.kron(tri(nx - 1), tri(ny - 1)), format="csr")
     ref.eliminate_zeros()  # kron may store dense blocks
     ref.sort_indices()
-    assert indices.dtype == indptr.dtype == np.int32
-    assert np.array_equal(indptr, ref.indptr) and np.array_equal(indices, ref.indices)
-    # each slot picks (row, neighbour offset (dx, dy)) from the (B * n, 9) rows of `_stencil_data`
-    rows, dx, dy = slots // 9, slots % 9 // 3 - 1, slots % 3 - 1
-    assert np.array_equal(rows, np.repeat(np.arange(B * (nx - 1) * (ny - 1)), np.diff(indptr)))
-    assert np.array_equal(indices, rows + dx * (ny - 1) + dy)
+    assert np.array_equal(A.indptr, ref.indptr) and np.array_equal(A.indices, ref.indices)
+    # entry (row, col) of block b, free dof (i, j), holds the table's [b, (i + 1) mod tx, (j + 1) mod ty, dx, dy]
+    b, r, s, dx, dy = np.unravel_index(A.data.astype(int) - 1, table.shape)
+    rows = np.repeat(np.arange(B * (nx - 1) * (ny - 1)), np.diff(A.indptr))
+    bi, i, j = np.unravel_index(rows, (B, nx - 1, ny - 1))
+    assert np.array_equal(b, bi) and np.array_equal(r, (i + 1) % tx) and np.array_equal(s, (j + 1) % ty)
+    assert np.array_equal(A.indices, rows + (dx - 1) * (ny - 1) + dy - 1)
